@@ -155,7 +155,8 @@ class TailConstants:
 def _tail_term(q_int: int, sigma0: float, excluded: frozenset, k: int, tol: float):
     table = primes_up_to(q_int)
     theta1 = alternating_phases(table)
-    rest = [int(p) for p in table.primes if int(p) not in excluded]
+    off_block = ~np.isin(table.primes, np.fromiter(excluded, dtype=np.int64, count=len(excluded)))
+    rest = table.primes[off_block]
     res = log_euler_deriv(rest, LogDerivSpec(k, sigma0, tol=tol), theta1)
     return res.value, res.tail_bound
 
@@ -467,7 +468,7 @@ def _attempt(spec: TargetSpec, u0: float, q: float | None,
     sol = solve_vandermonde(blocks.nodes, rhs)
     z = sol.values
     diag = []
-    solved = {}
+    solved = []
     for j in range(spec.n):
         ps = blocks.blocks[j]
         radii = ps.astype(float) ** (-spec.sigma0)
@@ -479,8 +480,7 @@ def _attempt(spec: TargetSpec, u0: float, q: float | None,
             )
         th = align_phases(radii, complex(z[j]))
         resid = abs(_fsum_phasor(radii, th) - complex(z[j]))
-        for p, t in zip(ps, th):
-            solved[int(p)] = float(t)
+        solved.append(th)
         diag.append(
             BlockDiagnostics(
                 index=j, size=len(ps), radius=radius, target_abs=float(abs(z[j])),
@@ -488,13 +488,13 @@ def _attempt(spec: TargetSpec, u0: float, q: float | None,
             )
         )
     table = primes_up_to(int(q))
-    solved_only = PhaseAssignment(solved)
+    block_ps = blocks.all_primes  # ascending: the blocks are disjoint and ordered
+    solved_only = PhaseAssignment._from_sorted(block_ps, np.concatenate(solved))
     assignment = alternating_phases(table).merged(solved_only)
     # verification at fresh (deeper) power depth: off-block background plus
     # an independent block recomputation; the linear block prediction used
     # for solving never enters here
     deep = tail_constants(spec, blocks, q, tol=1e-15)
-    block_ps = [int(p) for p in blocks.all_primes]
     residuals = []
     for k in range(spec.n):
         block_val = log_euler_deriv(

@@ -1,8 +1,11 @@
 """Phase assignments on primes and twisted Euler-product sums.
 
 A phase assignment maps primes to turns theta_p in [0, 1); the twist enters
-as exp(-2*pi*i*theta_p). Unassigned primes carry phase 0. All sums here are
-finite and exact up to the reported prime-power truncation.
+as exp(-2*pi*i*theta_p). Unassigned primes carry phase 0. It is stored as
+two sorted arrays, int64 primes and their turns, so every lookup is one
+binary search. Only primes that come from outside the package are checked
+by Miller-Rabin; primes the package sieved itself are trusted. All sums
+here are finite and exact up to the reported prime-power truncation.
 """
 
 from __future__ import annotations
@@ -27,13 +30,17 @@ __all__ = [
 
 
 class PhaseAssignment:
-    """Immutable map prime -> phase in turns, reduced mod 1.
+    """Immutable map prime -> phase in turns, reduced into [0, 1).
 
     Primes not present default to phase 0, matching the convention that only
-    finitely many coordinates are ever twisted.
+    finitely many coordinates are ever twisted. The map is held as a sorted
+    int64 array of primes and a float array of turns. The public constructor
+    checks every prime with Miller-Rabin, because its input comes from the
+    caller; primes the package sieved itself enter through `_from_sorted`,
+    which checks nothing.
     """
 
-    __slots__ = ("_entries",)
+    __slots__ = ("_primes", "_turns")
 
     def __init__(self, entries: Mapping[int, float] | Iterable[tuple[int, float]] = ()):
         items = entries.items() if isinstance(entries, Mapping) else entries
@@ -42,51 +49,86 @@ class PhaseAssignment:
             p = int(p)
             if not is_prime(p):
                 raise ValueError(f"phase assigned to non-prime {p}")
-            store[p] = float(th) % 1.0
-        self._entries = dict(sorted(store.items()))
+            store[p] = float(th)
+        ps = sorted(store)
+        self._set(ps, [store[p] for p in ps])
+
+    @classmethod
+    def _from_sorted(cls, primes: np.ndarray, turns: np.ndarray) -> "PhaseAssignment":
+        """Assignment over ascending, distinct primes the package sieved; no checks."""
+        obj = cls.__new__(cls)
+        obj._set(primes, turns)
+        return obj
+
+    def _set(self, primes, turns) -> None:
+        reduced = np.remainder(np.asarray(turns, dtype=float), 1.0)
+        # the remainder of a tiny negative turn rounds up to exactly 1.0
+        self._turns = np.where(reduced < 1.0, reduced, 0.0)
+        # a view, so that freezing it leaves the caller's array writable
+        self._primes = np.asarray(primes, dtype=np.int64).view()
+        self._primes.flags.writeable = False
+        self._turns.flags.writeable = False
 
     def get(self, p: int) -> float:
-        return self._entries.get(int(p), 0.0)
+        return float(self.phases_for(np.array([int(p)]))[0])
 
-    def phases_for(self, primes: np.ndarray) -> np.ndarray:
-        return np.array([self._entries.get(int(p), 0.0) for p in primes], dtype=float)
+    def phases_for(self, primes) -> np.ndarray:
+        """Turns at each given prime, 0 where unassigned; float arrays of
+        integer values are accepted."""
+        q = np.asarray(primes).astype(np.int64, copy=False)
+        out = np.zeros(q.shape, dtype=float)
+        if len(self._primes):
+            idx = np.minimum(np.searchsorted(self._primes, q), len(self._primes) - 1)
+            hit = self._primes[idx] == q
+            out[hit] = self._turns[idx[hit]]
+        return out
 
-    def items(self):
-        return self._entries.items()
+    def items(self) -> list[tuple[int, float]]:
+        """(prime, turns) pairs as Python numbers, primes ascending."""
+        return list(zip(self._primes.tolist(), self._turns.tolist()))
 
     def __len__(self):
-        return len(self._entries)
+        return len(self._primes)
 
     def __eq__(self, other):
-        return isinstance(other, PhaseAssignment) and self._entries == other._entries
+        return (isinstance(other, PhaseAssignment)
+                and np.array_equal(self._primes, other._primes)
+                and np.array_equal(self._turns, other._turns))
 
     def shifted(self, shifts: Mapping[int, float]) -> "PhaseAssignment":
-        new = dict(self._entries)
-        for p, d in shifts.items():
-            new[int(p)] = (new.get(int(p), 0.0) + d) % 1.0
-        return PhaseAssignment(new)
+        moved = PhaseAssignment(shifts)._primes  # checks the caller's primes
+        delta = np.array([float(shifts[p]) for p in moved.tolist()])
+        return self.merged(PhaseAssignment._from_sorted(moved, self.phases_for(moved) + delta))
 
     def negated(self) -> "PhaseAssignment":
-        return PhaseAssignment({p: (-t) % 1.0 for p, t in self._entries.items()})
+        return PhaseAssignment._from_sorted(self._primes, -self._turns)
 
     def merged(self, other: "PhaseAssignment") -> "PhaseAssignment":
-        new = dict(self._entries)
-        new.update(other._entries)
-        return PhaseAssignment(new)
+        """Union of both assignments; on a prime in both, other's phase wins."""
+        keep = ~np.isin(self._primes, other._primes, assume_unique=True)
+        ps = np.concatenate([self._primes[keep], other._primes])
+        order = np.argsort(ps)
+        turns = np.concatenate([self._turns[keep], other._turns])
+        return PhaseAssignment._from_sorted(ps[order], turns[order])
 
     def to_records(self):
         """Serialisable (prime, theta) sequence."""
-        return [{"prime": p, "theta": t} for p, t in self._entries.items()]
+        return [{"prime": p, "theta": t} for p, t in self.items()]
 
     def __repr__(self):
-        return f"PhaseAssignment({len(self._entries)} primes)"
+        return f"PhaseAssignment({len(self)} primes)"
 
 
 def alternating_phases(table: PrimeTable) -> PhaseAssignment:
     """Phase 0 on the 1st, 3rd, 5th, ... prime and 1/2 on the rest."""
-    return PhaseAssignment(
-        {int(p): (0.0 if i % 2 == 0 else 0.5) for i, p in enumerate(table.primes)}
-    )
+    turns = np.zeros(len(table.primes), dtype=float)
+    turns[1::2] = 0.5
+    return PhaseAssignment._from_sorted(table.primes, turns)
+
+
+def _as_array(primes, dtype) -> np.ndarray:
+    """Any iterable of primes as an array; an array input is not iterated in Python."""
+    return np.asarray(primes if isinstance(primes, np.ndarray) else list(primes), dtype=dtype)
 
 
 def _twists(primes: np.ndarray, theta: PhaseAssignment) -> np.ndarray:
@@ -95,7 +137,7 @@ def _twists(primes: np.ndarray, theta: PhaseAssignment) -> np.ndarray:
 
 def prime_phase_sum(primes, s: complex, theta: PhaseAssignment) -> complex:
     """Sum of exp(-2*pi*i*theta_p) * p^(-s) over the given primes."""
-    ps = np.asarray(list(primes), dtype=float)
+    ps = _as_array(primes, float)
     if ps.size == 0:
         return 0j
     return complex(np.sum(_twists(ps, theta) * ps ** (-complex(s))))
@@ -108,7 +150,7 @@ def prime_phase_sum_deriv(primes, k: int, sigma0: float, theta: PhaseAssignment)
     """
     if k < 0:
         raise ValueError("k must be nonnegative")
-    ps = np.asarray(list(primes), dtype=float)
+    ps = _as_array(primes, float)
     if ps.size == 0:
         return 0j
     return complex(np.sum(_twists(ps, theta) * (-np.log(ps)) ** k * ps ** (-sigma0)))
@@ -120,7 +162,7 @@ def default_ell_max(primes, k: int, sigma0: float, tol: float = 1e-14) -> int:
     Uses the dominant p = 2 shape: 2^(-ell*sigma0) * |P| * (ell*log(max P))^k
     / (1 - 2^(-sigma0)).
     """
-    ps = np.asarray(list(primes), dtype=float)
+    ps = _as_array(primes, float)
     if ps.size == 0:
         return 1
     np_count = len(ps)
@@ -194,7 +236,7 @@ def log_euler_deriv(primes, spec: LogDerivSpec, theta: PhaseAssignment) -> LogDe
     returned alongside the value. Terms individually below a fraction of the
     tolerance are skipped and charged to the reported bound.
     """
-    ps = np.asarray(sorted(int(p) for p in primes), dtype=float)
+    ps = np.sort(_as_array(primes, np.int64)).astype(float)
     if ps.size == 0:
         return LogDerivResult(0j, 0.0)
     k, sigma0 = spec.k, spec.sigma0

@@ -57,8 +57,6 @@ def primes_in_range(lo: int, hi: int) -> np.ndarray:
         if start > hi:
             continue
         mask[start - lo :: p] = False
-    if lo == 2:
-        pass
     out = np.flatnonzero(mask) + lo
     return out[out >= 2].astype(np.int64)
 

@@ -6,32 +6,10 @@ import functools
 
 import numpy as np
 
-__all__ = ["gauss_nodes", "panel_gauss", "panel_gauss_refined"]
+__all__ = ["gauss_nodes"]
 
 
 @functools.lru_cache(maxsize=32)
 def gauss_nodes(order: int):
     x, w = np.polynomial.legendre.leggauss(order)
     return x, w
-
-
-def panel_gauss(f, a: float, b: float, panels: int, order: int = 16):
-    """Composite Gauss-Legendre quadrature of a vectorised integrand.
-
-    f receives one flat array of nodes and must return values of the same
-    shape (complex allowed).
-    """
-    x, w = gauss_nodes(order)
-    edges = np.linspace(a, b, panels + 1)
-    mids = 0.5 * (edges[:-1] + edges[1:])
-    half = 0.5 * (edges[1:] - edges[:-1])
-    nodes = (mids[:, None] + half[:, None] * x[None, :]).ravel()
-    vals = np.asarray(f(nodes)).reshape(panels, order)
-    return np.sum(half[:, None] * w[None, :] * vals)
-
-
-def panel_gauss_refined(f, a: float, b: float, panels: int, order: int = 16):
-    """panel_gauss plus an error estimate from doubling the panel count."""
-    coarse = panel_gauss(f, a, b, panels, order)
-    fine = panel_gauss(f, a, b, 2 * panels, order)
-    return fine, abs(fine - coarse)

@@ -56,6 +56,7 @@ __all__ = [
 ]
 
 _IM_LIMIT = 1.0e8  # accuracy envelope of the plain Euler-Maclaurin evaluator
+_EDGE_SAMPLES_LIMIT = 1 << 20  # start samples per count_zeros edge (memory cap)
 
 
 # ----------------------------------------------------------------------
@@ -444,18 +445,28 @@ def count_zeros(alpha: float, t: float, h: float) -> ZeroCount:
         raise BoundaryZeroError("horizontal edge passes too close to the pole at s = 1")
     pole_inside = (alpha < 1.0) and (t_lo < 0.0 < t_hi)
 
-    def edge(fn, a, b):
+    def edge(fn, a, b, height):
+        # arg zeta turns about log(height / 2 pi) radians per unit of ordinate
+        # left of the critical line; about one radian per start step keeps each
+        # true step far below the whole turn that principal angles cannot see
+        rate = 1.0 + math.log1p(height / (2.0 * math.pi))
+        samples = max(64, math.ceil(abs(b - a) * rate))
+        if samples > _EDGE_SAMPLES_LIMIT:
+            raise ToleranceUnreachableError(
+                f"edge from {a:g} to {b:g} needs {samples} samples to track the argument"
+            )
         try:
-            _, _, steps = _adaptive_track(fn, np.linspace(a, b, 64), max_step=0.9)
+            _, _, steps = _adaptive_track(fn, np.linspace(a, b, samples), max_step=0.9)
         except PathThroughZeroError as exc:
             raise BoundaryZeroError(str(exc)) from exc
         return float(np.sum(steps))
 
+    top = max(abs(t_lo), abs(t_hi))
     total = 0.0
-    total += edge(lambda x: x + 1j * t_lo, alpha, 2.0)          # bottom, left to right
-    total += edge(lambda y: 2.0 + 1j * y, t_lo, t_hi)           # right, upward
-    total -= edge(lambda x: x + 1j * t_hi, alpha, 2.0)          # top, right to left
-    total -= edge(lambda y: alpha + 1j * y, t_lo, t_hi)         # left, downward
+    total += edge(lambda x: x + 1j * t_lo, alpha, 2.0, abs(t_lo))   # bottom, left to right
+    total += edge(lambda y: 2.0 + 1j * y, t_lo, t_hi, top)          # right, upward
+    total -= edge(lambda x: x + 1j * t_hi, alpha, 2.0, abs(t_hi))   # top, right to left
+    total -= edge(lambda y: alpha + 1j * y, t_lo, t_hi, top)        # left, downward
     winding = total / (2.0 * math.pi)
     snapped = round(winding)
     residual = abs(winding - snapped)

@@ -15,7 +15,7 @@ from zetascope.phases import (
     prime_phase_sum,
     prime_phase_sum_deriv,
 )
-from zetascope.primes import primes_up_to
+from zetascope.primes import is_prime, primes_up_to
 
 SMALL_PRIMES = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29]
 
@@ -197,3 +197,66 @@ def test_serialization_records():
         {"prime": 2, "theta": 0.0},
         {"prime": 3, "theta": 0.25},
     ]
+
+
+def test_merged_other_wins_on_overlap():
+    base = PhaseAssignment({2: 0.1, 3: 0.2, 7: 0.3})
+    other = PhaseAssignment({3: 0.9, 5: 0.4})
+    assert dict(base.merged(other).items()) == {2: 0.1, 3: 0.9, 5: 0.4, 7: 0.3}
+    assert dict(other.merged(base).items()) == {2: 0.1, 3: 0.2, 5: 0.4, 7: 0.3}
+    assert base.merged(PhaseAssignment()) == base
+    assert PhaseAssignment().merged(base) == base
+
+
+def test_phases_for_lookups():
+    th = PhaseAssignment({3: 0.25, 7: 0.75})
+    want = [0.0, 0.25, 0.0, 0.75, 0.0, 0.0]
+    assert th.phases_for(np.array([2, 3, 5, 7, 11, 10**6])).tolist() == want
+    # prime_phase_sum hands over float arrays of integer values
+    assert th.phases_for(np.array([2.0, 3.0, 5.0, 7.0, 11.0, 1e6])).tolist() == want
+    assert th.phases_for([3, 7]).tolist() == [0.25, 0.75]
+    assert th.phases_for(np.array([], dtype=np.int64)).shape == (0,)
+    empty = PhaseAssignment()
+    assert empty.phases_for(np.array([2, 3.0])).tolist() == [0.0, 0.0]
+    assert empty.get(2) == 0.0 and th.get(1009) == 0.0
+
+
+def test_items_ascending_python_numbers():
+    th = PhaseAssignment([(13, 0.5), (2, 1.75), (5, -0.25), (2, 0.125)])  # last 2 wins
+    items = list(th.items())
+    assert items == [(2, 0.125), (5, 0.75), (13, 0.5)]
+    assert all(type(p) is int and type(t) is float for p, t in items)
+    recs = alternating_phases(primes_up_to(30)).to_records()
+    assert [r["prime"] for r in recs] == [2, 3, 5, 7, 11, 13, 17, 19, 23, 29]
+    assert all(type(r["prime"]) is int and type(r["theta"]) is float for r in recs)
+
+
+def test_equality():
+    a = PhaseAssignment({2: 0.5, 3: 0.25})
+    assert a == PhaseAssignment({3: 1.25, 2: -0.5})
+    assert a != PhaseAssignment({2: 0.5, 3: 0.5})
+    assert a != PhaseAssignment({2: 0.5, 5: 0.25})
+    assert a != PhaseAssignment({2: 0.5})
+    assert a != dict(a.items())
+    assert alternating_phases(primes_up_to(50)) == PhaseAssignment(
+        alternating_phases(primes_up_to(50)).items())
+    assert a.negated().negated() == a
+
+
+def test_sieved_primes_skip_miller_rabin(monkeypatch):
+    import zetascope.phases
+    from zetascope.omega import TargetSpec, construct_phases
+
+    calls = []
+
+    def counting(n):
+        calls.append(n)
+        return is_prime(n)
+
+    monkeypatch.setattr(zetascope.phases, "is_prime", counting)
+    assert len(alternating_phases(primes_up_to(10**5))) == 9592
+    assignment, report = construct_phases(TargetSpec(1, 0.75, (1.0,), 0.1))
+    assert report.ok and len(assignment) > 0
+    assert calls == []
+    PhaseAssignment({2: 0.5, 3: 0.0})  # primes from a caller are still checked
+    assert calls == [2, 3]

@@ -7,6 +7,7 @@ from zetascope.errors import (
     BoundaryZeroError,
     PathThroughZeroError,
     PoleAtOneError,
+    ToleranceUnreachableError,
 )
 from zetascope.zeta_engine import (
     chi_factor,
@@ -150,9 +151,11 @@ def test_hardy_z_is_real_zeta_magnitude():
 
 def test_count_zeros_examples():
     assert count_zeros(0.6, 0.0, 50.0).count == 0
-    full = count_zeros(0.1, 0.0, 50.0)
-    assert full.count == 10
-    assert full.winding_residual < 0.25
+    # N(T), the classical zero counts
+    for height, zeros in ((50.0, 10), (100.0, 29), (150.0, 52), (300.0, 138)):
+        full = count_zeros(0.1, 0.0, height)
+        assert full.count == zeros, height
+        assert full.winding_residual < 0.25
     assert count_zeros(0.3, 0.0, 0.0).count == 0
 
 
@@ -166,6 +169,8 @@ def test_count_zeros_additive():
 def test_count_zeros_validation():
     with pytest.raises(ValueError):
         count_zeros(2.5, 0.0, 10.0)
+    with pytest.raises(ToleranceUnreachableError):
+        count_zeros(0.5, 0.0, 1e7)  # refused before any evaluation
 
 
 def test_zero_density_envelope():
