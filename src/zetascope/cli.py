@@ -309,9 +309,6 @@ def build_parser() -> argparse.ArgumentParser:
     def common(sp):
         sp.add_argument("--format", choices=["records", "csv"], default="records")
         sp.add_argument("--threads", type=int, default=None)
-        sp.add_argument("--seed", type=int, default=0,
-                        help="seed for any randomised sampling (kept for "
-                        "record reproducibility)")
 
     sp = sub.add_parser("zeta-eval", help="evaluate zeta (and tracked log) at a point")
     sp.add_argument("--s", required=True, help="complex point, e.g. 0.75+100i")

@@ -42,13 +42,6 @@ def _two_prod(a, b):
     return p, e
 
 
-def _two_sum(a, b):
-    s = a + b
-    v = s - a
-    e = (a - v) + (b - (s - v))
-    return s, e
-
-
 @functools.lru_cache(maxsize=100_000)
 def _speed_dd(p: int) -> tuple[float, float]:
     """log(p)/(2 pi) as a head/tail double pair, seeded at 40 digits."""
@@ -61,16 +54,12 @@ def _speed_dd(p: int) -> tuple[float, float]:
     return hi, lo
 
 
-def _frac_mod1(t: float, p: int) -> float:
-    """(t * log(p)/2pi) mod 1 with double-double compensation."""
-    hi, lo = _speed_dd(p)
+def _turns(t, hi, lo):
+    """(t * (hi + lo)) mod 1 in double-double; broadcasts over t or speeds."""
     p1, e1 = _two_prod(t, hi)
-    p2 = t * lo
     # reduce the head first, then fold in the exact pieces
-    r = p1 - math.floor(p1)
-    s, e = _two_sum(r, e1 + p2)
-    out = (s + e) % 1.0
-    return out
+    r = p1 - np.floor(p1)
+    return (r + (e1 + t * lo)) % 1.0
 
 
 @dataclass(frozen=True)
@@ -94,23 +83,15 @@ class TorusPoint:
 
 def curve_point(t: float, table: PrimeTable) -> TorusPoint:
     """Curve position at time t: coordinate (t log p / 2pi) mod 1 per prime."""
-    return TorusPoint({int(p): _frac_mod1(float(t), int(p)) for p in table.primes})
+    primes = [int(p) for p in table.primes]
+    hi, lo = np.array([_speed_dd(p) for p in primes], dtype=float).reshape(-1, 2).T
+    return TorusPoint(dict(zip(primes, _turns(float(t), hi, lo).tolist())))
 
 
 def curve_coords(ts: np.ndarray, p: int) -> np.ndarray:
     """Vectorised single-coordinate version of curve_point."""
     hi, lo = _speed_dd(int(p))
-    ts = np.asarray(ts, dtype=float)
-    p1 = ts * hi
-    ah = ts * _SPLIT
-    ah = ah - (ah - ts)
-    al = ts - ah
-    bh = hi * _SPLIT
-    bh = bh - (bh - hi)
-    bl = hi - bh
-    e1 = ((ah * bh - p1) + ah * bl + al * bh) + al * bl
-    r = p1 - np.floor(p1)
-    return (r + (e1 + ts * lo)) % 1.0
+    return _turns(np.asarray(ts, dtype=float), hi, lo)
 
 
 @dataclass(frozen=True)

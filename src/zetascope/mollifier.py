@@ -17,7 +17,6 @@ import numpy as np
 from .errors import QuadratureFailureError
 from .phases import PhaseAssignment
 from .primes import PrimeTable
-from .quadrature import gauss_nodes
 
 __all__ = [
     "MollifierSpec",
@@ -30,6 +29,11 @@ __all__ = [
     "truncation_remainder",
     "mean_over_curve",
 ]
+
+
+@functools.lru_cache(maxsize=32)
+def gauss_nodes(order: int):
+    return np.polynomial.legendre.leggauss(order)
 
 
 def _raw_bump(x: np.ndarray) -> np.ndarray:

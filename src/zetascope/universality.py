@@ -17,7 +17,8 @@ import numpy as np
 
 from .errors import NoConvergenceError, NoHitsError
 from .scan import MAX_ORDER_ZETA, ScanWindow, scan_zeta_derivs
-from .zeta_engine import zeta_array
+from .omega import _threshold_exponent
+from .zeta_engine import _circle_derivs, zeta_array
 
 __all__ = [
     "UniversalityTarget",
@@ -121,7 +122,8 @@ def choose_taylor_degree(m_g: float, delta0: float, eps: float) -> int:
 def taylor_coeffs(g, s0: complex, r_c: float, n: int, *, return_error: bool = False):
     """Derivatives g^(k)(s0) for k < n by trapezoidal circle quadrature.
 
-    Doubles the node count until two successive estimates agree to 1e-10
+    Runs the shared Cauchy-circle kernel `zeta_engine._circle_derivs`,
+    doubling the node count until two successive estimates agree to 1e-10
     relative to the largest derivative. High orders on small circles
     amplify evaluation noise by k!/r_c^k, so doubling also stops once the
     change plateaus at that noise floor; the floor is the reported error.
@@ -129,28 +131,17 @@ def taylor_coeffs(g, s0: complex, r_c: float, n: int, *, return_error: bool = Fa
     s0 = complex(s0)
     if r_c <= 0:
         raise ValueError("circle radius must be positive")
-    ks = np.arange(n)
-    fact = np.array([math.factorial(int(k)) for k in ks], dtype=float)
-    prev = None
-    prev_change = None
-    m = max(64, 2 * n)
-    for _ in range(7):
-        phis = np.linspace(0.0, 2.0 * math.pi, m, endpoint=False)
-        vals = np.asarray(g(s0 + r_c * np.exp(1j * phis)))
-        coeff = (vals[None, :] * np.exp(-1j * np.outer(ks, phis))).mean(axis=1)
-        derivs = coeff * fact / r_c**ks.astype(float)
-        if prev is not None:
-            change = float(np.max(np.abs(derivs - prev)))
-            scale = 1.0 + float(np.max(np.abs(derivs)))
-            if change < 1e-10 * scale:
-                return (derivs, change) if return_error else derivs
-            if prev_change is not None and change > 0.3 * prev_change and change < 1e-5 * scale:
-                # spectral convergence is done and the residual wiggle is
-                # the evaluation-noise floor
-                return (derivs, max(change, prev_change)) if return_error else derivs
-            prev_change = change
-        prev = derivs
-        m *= 2
+    f = lambda phis: g(s0 + r_c * np.exp(1j * phis))
+    prev_change = math.inf
+    for derivs, change in _circle_derivs(f, r_c, n - 1, 64, 7):
+        scale = 1.0 + float(np.max(np.abs(derivs)))
+        if change < 1e-10 * scale:
+            return (derivs, change) if return_error else derivs
+        if 0.3 * prev_change < change < 1e-5 * scale:
+            # spectral convergence is done and the residual wiggle is
+            # the evaluation-noise floor
+            return (derivs, max(change, prev_change)) if return_error else derivs
+        prev_change = change
     raise NoConvergenceError("Taylor coefficients did not stabilise under node doubling")
 
 
@@ -289,8 +280,7 @@ def threshold_base(n: int, g_at_s0: complex, g_norm: float, delta0: float,
 def window_start_log_bound_universality(base: float, sigma0: float, c2: float = 1.0) -> float:
     """log C2 + (8/(1-sigma0) + 8/(sigma0-1/2)) * log(base), mirroring the
     log-scale convention of the derivative-target threshold."""
-    expo = 8.0 / (1.0 - sigma0) + 8.0 / (sigma0 - 0.5)
-    return math.log(c2) + expo * math.log(base)
+    return math.log(c2) + _threshold_exponent(sigma0) * math.log(base)
 
 
 def run_universality(target: UniversalityTarget, t_start: float, h: float, *,

@@ -3,8 +3,11 @@ derivatives, Selberg's explicit formula, and rectangle zero counting.
 
 The evaluator is Euler-Maclaurin with a truncation point scaling linearly in
 |Im s| and a Bernoulli correction series whose terms shrink geometrically
-once the truncation point passes |Im s| / (2 pi). Everything is vectorised
-over numpy arrays of points; scalar wrappers sit on top.
+once the truncation point passes |Im s| / (2 pi). One core, `_zeta_eval`,
+holds the pole and envelope checks and the truncation and retry policy;
+`zeta`, `zeta_array` and the circles of `zeta_derivs` are thin wrappers.
+All Cauchy-circle Taylor data (here and in `universality.taylor_coeffs`)
+comes from one node-doubling kernel, `_circle_derivs`.
 
 Branch convention: log zeta is the principal branch on the real segment
 (1, inf) and is continued along horizontal segments from sigma = 10, where
@@ -87,9 +90,15 @@ def _em_eval(s: np.ndarray, n_trunc: int, n_bern: int):
     log_n = np.log(n)
     vals = np.empty(s.shape, dtype=complex)
     chunk = max(1, (1 << 22) // n_trunc)
+    # one workspace for every chunk: n^-s is formed in place
+    work = np.empty((min(len(s), chunk), n_trunc - 1), dtype=complex)
     for i in range(0, len(s), chunk):
         sl = s[i : i + chunk]
-        vals[i : i + chunk] = np.exp(-np.outer(sl, log_n)).sum(axis=1)
+        w = work[: len(sl)]
+        np.outer(sl, log_n, out=w)
+        np.negative(w, out=w)
+        np.exp(w, out=w)
+        vals[i : i + chunk] = w.sum(axis=1)
     nf = float(n_trunc)
     vals += nf ** (1.0 - s) / (s - 1.0) + 0.5 * nf ** (-s)
     # correction terms, built iteratively to avoid factorial overflow
@@ -110,12 +119,13 @@ def _em_eval(s: np.ndarray, n_trunc: int, n_bern: int):
     return vals, err
 
 
-def zeta_array(s, tol: float = 1e-11) -> np.ndarray:
-    """Vectorised zeta via Euler-Maclaurin, certified to tol per point."""
-    s_arr = np.asarray(s, dtype=complex)
-    flat = s_arr.ravel()
-    if flat.size == 0:
-        return np.zeros(s_arr.shape, dtype=complex)
+def _zeta_eval(flat: np.ndarray, tol: float | None):
+    """The one evaluator: (values, error estimates, truncation point) at flat.
+
+    Retries with longer sums until every estimate is within tol; tol = None
+    is one ungated pass, for Cauchy circles that scale tolerances themselves
+    (where a circle reaches into sigma < 0, the roundoff floor grows with |zeta|).
+    """
     if np.any(np.abs(flat - 1.0) < 1e-12):
         raise PoleAtOneError("zeta has a pole at s = 1")
     tmax = float(np.max(np.abs(flat.imag)))
@@ -125,10 +135,10 @@ def zeta_array(s, tol: float = 1e-11) -> np.ndarray:
         )
     n_trunc = int(max(24, (tmax + 60.0) / 3.0 + 8))
     n_bern = 30
-    for _ in range(4):
+    for _ in range(1 if tol is None else 4):
         vals, err = _em_eval(flat, n_trunc, n_bern)
-        if float(np.max(err)) <= tol:
-            return vals.reshape(s_arr.shape)
+        if tol is None or float(np.max(err)) <= tol:
+            return vals, err, n_trunc
         n_trunc = int(n_trunc * 1.8) + 16
         n_bern = min(n_bern + 8, 60)
     raise ToleranceUnreachableError(
@@ -136,43 +146,18 @@ def zeta_array(s, tol: float = 1e-11) -> np.ndarray:
     )
 
 
-def _zeta_values_raw(s_flat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Evaluate without a tolerance gate; returns (values, error estimates).
-
-    Used where the caller scales tolerances itself (e.g. Cauchy circles
-    reaching into sigma < 0, where the roundoff floor grows with |zeta| but
-    stays small relative to it).
-    """
-    tmax = float(np.max(np.abs(s_flat.imag))) if s_flat.size else 0.0
-    if tmax > _IM_LIMIT:
-        raise ToleranceUnreachableError(
-            f"|Im s| = {tmax:g} outside the evaluator envelope {_IM_LIMIT:g}"
-        )
-    if np.any(np.abs(s_flat - 1.0) < 1e-12):
-        raise PoleAtOneError("zeta has a pole at s = 1")
-    n_trunc = int(max(24, (tmax + 60.0) / 3.0 + 8))
-    return _em_eval(s_flat, n_trunc, 30)
+def zeta_array(s, tol: float = 1e-11) -> np.ndarray:
+    """Vectorised zeta via Euler-Maclaurin, certified to tol per point."""
+    s_arr = np.asarray(s, dtype=complex)
+    if s_arr.size == 0:
+        return np.zeros(s_arr.shape, dtype=complex)
+    return _zeta_eval(s_arr.ravel(), tol)[0].reshape(s_arr.shape)
 
 
 def zeta(s: complex, tol: float = 1e-11) -> ZetaEval:
     """Scalar zeta with a certified error estimate."""
-    s = complex(s)
-    if abs(s - 1.0) < 1e-12:
-        raise PoleAtOneError("zeta has a pole at s = 1")
-    if abs(s.imag) > _IM_LIMIT:
-        raise ToleranceUnreachableError(
-            f"|Im s| = {abs(s.imag):g} outside the evaluator envelope {_IM_LIMIT:g}"
-        )
-    flat = np.array([s], dtype=complex)
-    n_trunc = int(max(24, (abs(s.imag) + 60.0) / 3.0 + 8))
-    n_bern = 30
-    for _ in range(4):
-        vals, err = _em_eval(flat, n_trunc, n_bern)
-        if float(err[0]) <= tol:
-            return ZetaEval(complex(vals[0]), float(err[0]), n_trunc)
-        n_trunc = int(n_trunc * 1.8) + 16
-        n_bern = min(n_bern + 8, 60)
-    raise ToleranceUnreachableError(f"could not certify tolerance {tol:g} at s = {s}")
+    vals, err, n_trunc = _zeta_eval(np.array([complex(s)]), tol)
+    return ZetaEval(complex(vals[0]), float(err[0]), n_trunc)
 
 
 # ----------------------------------------------------------------------
@@ -233,27 +218,47 @@ def log_zeta_tracked(sigma0: float, t: float) -> complex:
     return complex(math.log(abs(v_end)), total_arg)
 
 
-def _circle_log_values(center: complex, radius: float, nodes: int):
-    """Branch-consistent log zeta at equispaced circle nodes.
+def _circle_derivs(f, radius: float, kmax: int, nodes: int, rounds: int):
+    """Cauchy-circle Taylor data of f(phi) = F(center + radius e^(i phi)).
+
+    Each round doubles the equispaced nodes (at least `nodes`, 2(kmax+1))
+    and yields (d^k F/ds^k for k <= kmax, largest change from the round
+    before, inf on the first). Stopping is the caller's decision.
+    """
+    ks = np.arange(kmax + 1)
+    fact = np.array([math.factorial(int(k)) for k in ks], dtype=float)
+    prev = None
+    m = max(nodes, 2 * (kmax + 1))
+    for _ in range(rounds):
+        phis = np.linspace(0.0, 2.0 * math.pi, m, endpoint=False)
+        coeff = (np.asarray(f(phis))[None, :] * np.exp(-1j * np.outer(ks, phis))).mean(axis=1)
+        derivs = coeff * fact / radius ** ks.astype(float)
+        change = math.inf if prev is None else float(np.max(np.abs(derivs - prev)))
+        yield derivs, change
+        prev = derivs
+        m *= 2
+
+
+def _circle_log_values(center: complex, radius: float, phis: np.ndarray) -> np.ndarray:
+    """Branch-consistent log zeta at the circle nodes of angles phis.
 
     Anchors the branch at angle 0 via horizontal tracking, then continues
-    around the circle. A nonzero net winding means the circle encloses a
-    zero, which invalidates any log-based contour use.
+    around the circle (phis ascending from 0, tracked on to 2 pi). A nonzero
+    net winding means the circle encloses a zero, which invalidates any
+    log-based contour use.
     """
     anchor = log_zeta_tracked(center.real + radius, center.imag)
-    phis = np.linspace(0.0, 2.0 * math.pi, nodes + 1)
     pts_fn = lambda ph: center + radius * np.exp(1j * ph)
-    params, vals, steps = _adaptive_track(pts_fn, phis, max_step=0.9)
+    params, vals, steps = _adaptive_track(pts_fn, np.append(phis, 2.0 * math.pi), max_step=0.9)
     cum = np.concatenate([[0.0], np.cumsum(steps)])
     if abs(cum[-1]) > 0.5:
         raise PathThroughZeroError(
             f"circle around {center:g} (r={radius:g}) encloses a zero "
             f"(net winding {cum[-1] / (2 * math.pi):.2f})"
         )
-    idx = np.searchsorted(params, phis[:-1])
-    logs = np.log(np.abs(vals[idx])) + 1j * (anchor.imag + cum[idx])
+    idx = np.searchsorted(params, phis)
     # real part of the anchor must match log|zeta| at angle 0 by construction
-    return phis[:-1], logs
+    return np.log(np.abs(vals[idx])) + 1j * (anchor.imag + cum[idx])
 
 
 def log_zeta_derivs(kmax: int, sigma0: float, t: float, radius: float | None = None,
@@ -271,20 +276,11 @@ def log_zeta_derivs(kmax: int, sigma0: float, t: float, radius: float | None = N
     if radius <= 0:
         raise ValueError("radius must be positive (sigma0 too close to 1/2?)")
     center = complex(sigma0, t)
-    prev = None
-    m = max(nodes, 2 * (kmax + 1))
-    for _ in range(5):
-        phis, logs = _circle_log_values(center, radius, m)
-        ks = np.arange(kmax + 1)
-        coeff = (logs[None, :] * np.exp(-1j * np.outer(ks, phis))).mean(axis=1)
-        derivs = coeff * np.array([math.factorial(k) for k in ks]) / radius**ks.astype(float)
-        if prev is not None:
-            change = float(np.max(np.abs(derivs - prev)))
-            if change < settle * (1.0 + float(np.max(np.abs(derivs)))):
-                return derivs, change
-        prev = derivs
-        m *= 2
-    return prev, change
+    f = lambda phis: _circle_log_values(center, radius, phis)
+    for derivs, change in _circle_derivs(f, radius, kmax, nodes, 5):
+        if change < settle * (1.0 + float(np.max(np.abs(derivs)))):
+            break
+    return derivs, change
 
 
 def log_zeta_deriv(k: int, sigma0: float, t: float, radius: float | None = None) -> complex:
@@ -304,21 +300,11 @@ def zeta_derivs(kmax: int, center: complex, radius: float | None = None,
         radius = min(1.5, 0.5 * abs(center - 1.0))
     if abs(center - 1.0) <= radius:
         raise PoleAtOneError("derivative circle encloses the pole at s = 1")
-    prev = None
-    m = max(nodes, 2 * (kmax + 1))
-    for _ in range(5):
-        phis = np.linspace(0.0, 2.0 * math.pi, m, endpoint=False)
-        vals, _ = _zeta_values_raw(center + radius * np.exp(1j * phis))
-        ks = np.arange(kmax + 1)
-        coeff = (vals[None, :] * np.exp(-1j * np.outer(ks, phis))).mean(axis=1)
-        derivs = coeff * np.array([math.factorial(k) for k in ks]) / radius**ks.astype(float)
-        if prev is not None:
-            change = float(np.max(np.abs(derivs - prev)))
-            if change < 1e-9 * (1.0 + float(np.max(np.abs(derivs)))):
-                return derivs, change
-        prev = derivs
-        m *= 2
-    return prev, change
+    f = lambda phis: _zeta_eval(center + radius * np.exp(1j * phis), None)[0]
+    for derivs, change in _circle_derivs(f, radius, kmax, nodes, 5):
+        if change < 1e-9 * (1.0 + float(np.max(np.abs(derivs)))):
+            break
+    return derivs, change
 
 
 # ----------------------------------------------------------------------

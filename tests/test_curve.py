@@ -124,3 +124,11 @@ def test_frequency_validation():
         FrequencyVector({4: 1})
     fv = FrequencyVector({3: 0, 2: 1})
     assert 3 not in fv.entries  # zero entries dropped
+
+
+@pytest.mark.parametrize("t", [0.0, 1e3, 123456.789, 7.7e11])
+def test_curve_point_matches_curve_coords_exactly(t):
+    table = primes_up_to(2000)
+    pt = curve_point(t, table)
+    for p in table.primes:
+        assert pt.coords[int(p)] == curve_coords([t], int(p))[0]

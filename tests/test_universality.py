@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from zetascope.errors import NoHitsError
+from zetascope.errors import NoConvergenceError, NoHitsError
 from zetascope.universality import (
     UniversalityTarget,
     boundary_max,
@@ -169,3 +169,17 @@ def test_pipeline_no_hits_for_alien_target():
     target = UniversalityTarget(g=np.exp, s0=0.75, r=0.125, delta0=0.5, eps=0.3)
     with pytest.raises(NoHitsError):
         run_universality(target, 50.0, 12.0)
+
+
+def test_taylor_coeffs_noise_plateau():
+    """Evaluation noise stops the doubling at its floor, which is reported."""
+    noise = np.random.default_rng(1)
+    g = lambda z: np.exp(z) + 1e-14 * noise.standard_normal(np.shape(z))
+    derivs, err = taylor_coeffs(g, 0.0, 0.5, 8, return_error=True)
+    assert np.max(np.abs(derivs - 1.0)) < 1e-8
+    assert err > 1e-10
+
+
+def test_taylor_coeffs_refuses_circle_near_a_pole():
+    with pytest.raises(NoConvergenceError):
+        taylor_coeffs(lambda z: 1.0 / (z - 1.001), 0.0, 1.0, 6)

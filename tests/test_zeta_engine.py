@@ -203,3 +203,23 @@ def test_zero_csv_roundtrip(tmp_path):
     zeros_to_csv(path, FIRST_ZEROS)
     back = zeros_from_csv(path)
     assert np.max(np.abs(back - np.array(FIRST_ZEROS))) < 1e-11
+
+
+@pytest.mark.parametrize("s", [0.75 + 100j, 0.9 + 1e5j, 2.0 + 0j, -1.0 + 3j])
+def test_scalar_and_array_evaluators_agree_exactly(s):
+    """zeta and zeta_array share one core: same bits, same truncation point."""
+    from zetascope.zeta_engine import _zeta_eval
+
+    ev = zeta(s)
+    vals, errs, n_trunc = _zeta_eval(np.array([s]), 1e-11)
+    assert ev.value == zeta_array([s])[0] == vals[0]
+    assert ev.est_error == errs[0]
+    assert ev.terms_used == n_trunc
+
+
+def test_log_zeta_derivs_returns_when_rounds_run_out():
+    """Near the critical line at height the node doubling ends unsettled:
+    the last round is returned with its change as the error, not raised."""
+    derivs, err = log_zeta_derivs(3, 0.55, 2000.0)
+    assert derivs.shape == (4,)
+    assert err > 1e-11 * (1.0 + float(np.max(np.abs(derivs))))
