@@ -10,9 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
-import re
 import sys
 
 import numpy as np
@@ -35,40 +33,22 @@ EXIT_INVALID = 2
 EXIT_NO_RESULT = 3
 EXIT_NUMERICAL = 4
 
-_COMPLEX_RE = re.compile(
-    r"^(?P<re>[+-]?(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?)?"
-    r"(?P<im>[+-](?:\d+\.?\d*|\.\d+)?(?:[eE][+-]?\d+)?)?[ij]?$"
-)
-
-
 def parse_complex(text: str) -> complex:
-    """Parse 'a+bi' with no spaces; plain reals and pure imaginaries allowed."""
+    """Parse 'a+bi' with no spaces; plain reals and pure imaginaries allowed.
+
+    A trailing i is read as Python's j, so every literal complex() accepts
+    is accepted too ('a+i', '1+2J', '(1+2j)'); non-finite values are refused.
+    """
     t = text.strip()
-    if not t:
-        raise ValueError("empty complex literal")
-    if t.endswith(("i", "j")):
-        body = t[:-1]
-        m = re.match(
-            r"^(?P<re>[+-]?(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?)?"
-            r"(?P<im>[+-]?(?:\d+\.?\d*|\.\d+)?(?:[eE][+-]?\d+)?)$",
-            body,
-        )
-        if m is None:
-            raise ValueError(f"cannot parse complex literal {text!r}")
-        re_part = m.group("re")
-        im_part = m.group("im")
-        if re_part is not None and im_part is not None and im_part not in ("", "+", "-"):
-            return complex(float(re_part), float(im_part))
-        whole = re_part if im_part in (None, "") else im_part
-        if whole in (None, "", "+"):
-            return complex(0.0, 1.0)
-        if whole == "-":
-            return complex(0.0, -1.0)
-        # either 'bi' or 'a+i' / 'a-i'
-        if re_part is not None and im_part in ("+", "-"):
-            return complex(float(re_part), 1.0 if im_part == "+" else -1.0)
-        return complex(0.0, float(whole))
-    return complex(float(t), 0.0)
+    if t.endswith("i"):
+        t = t[:-1] + "j"
+    try:
+        z = complex(t)
+    except ValueError:
+        raise ValueError(f"cannot parse complex literal {text!r}") from None
+    if not np.isfinite(z):
+        raise ValueError(f"complex literal {text!r} is not finite")
+    return z
 
 
 def _emit(record: dict, fmt: str, stream=None) -> None:
@@ -91,7 +71,7 @@ def _json_default(obj):
 
 
 def _threads(args) -> int:
-    if getattr(args, "threads", None):
+    if args.threads is not None:
         return args.threads
     env = os.environ.get("ZETASCOPE_THREADS")
     return int(env) if env else 1
@@ -171,18 +151,14 @@ def cmd_calibrate(args) -> int:
 
 
 def cmd_scan(args) -> int:
-    from .scan import ScanWindow, density_estimate, scan_log_derivs, scan_zeta_derivs
+    from .scan import ScanWindow, density_estimate, scan_derivs
 
     try:
         targets = tuple(parse_complex(t) for t in args.targets)
         window = ScanWindow(t=args.t, h=args.h, eps=args.eps, nu=args.nu,
                             step=args.step)
-        if args.mode == "log":
-            result = scan_log_derivs(targets, args.sigma0, window,
-                                     threads=_threads(args))
-        else:
-            result = scan_zeta_derivs(targets, args.sigma0, window,
-                                      threads=_threads(args))
+        result = scan_derivs(targets, args.sigma0, window, mode=args.mode,
+                             threads=_threads(args))
     except (ValueError, WindowConstraintError, ZeroConstantTermError) as exc:
         return _fail(str(exc), EXIT_INVALID)
     except ZetascopeError as exc:
@@ -306,15 +282,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--version", action="version", version=f"zetascope {__version__}")
     sub = p.add_subparsers(dest="command")
 
-    def common(sp):
-        sp.add_argument("--format", choices=["records", "csv"], default="records")
-        sp.add_argument("--threads", type=int, default=None)
-
     sp = sub.add_parser("zeta-eval", help="evaluate zeta (and tracked log) at a point")
     sp.add_argument("--s", required=True, help="complex point, e.g. 0.75+100i")
     sp.add_argument("--tol", type=float, default=1e-11)
     sp.add_argument("--log", action="store_true", help="also report branch-tracked log zeta")
-    common(sp)
+    sp.add_argument("--format", choices=["records", "csv"], default="records")
     sp.set_defaults(func=cmd_zeta_eval)
 
     sp = sub.add_parser("solve-omega", help="construct phases hitting derivative targets")
@@ -326,7 +298,7 @@ def build_parser() -> argparse.ArgumentParser:
                     help="use the threshold formulas with this constant instead of calibration")
     sp.add_argument("--u0", type=float, default=None, help="explicit block start")
     sp.add_argument("--phases", action="store_true", help="emit the (prime, theta) records")
-    common(sp)
+    sp.add_argument("--format", choices=["records", "csv"], default="records")
     sp.set_defaults(func=cmd_solve_omega)
 
     sp = sub.add_parser("calibrate", help="search the smallest workable block start u0")
@@ -334,7 +306,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--sigma0", type=float, required=True)
     sp.add_argument("--targets", nargs="+", required=True)
     sp.add_argument("--eps", type=float, required=True)
-    common(sp)
+    sp.add_argument("--format", choices=["records", "csv"], default="records")
     sp.set_defaults(func=cmd_calibrate)
 
     sp = sub.add_parser("scan", help="scan a window for derivative-matching shifts")
@@ -347,7 +319,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--eps", type=float, required=True)
     sp.add_argument("--step", type=float, default=None)
     sp.add_argument("--csv-out", default=None)
-    common(sp)
+    sp.add_argument("--threads", type=int, default=None)
     sp.set_defaults(func=cmd_scan)
 
     sp = sub.add_parser("universality", help="run the disk-approximation pipeline")
@@ -361,7 +333,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--h", type=float, required=True)
     sp.add_argument("--nu", type=float, default=27.0 / 82.0)
     sp.add_argument("--step", type=float, default=None)
-    common(sp)
+    sp.add_argument("--threads", type=int, default=None)
     sp.set_defaults(func=cmd_universality)
 
     sp = sub.add_parser("zeros", help="zero ordinates, rectangle counts, density envelope")
@@ -371,7 +343,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--t", type=float, default=0.0)
     sp.add_argument("--h", type=float, default=50.0)
     sp.add_argument("--envelope", action="store_true")
-    common(sp)
     sp.set_defaults(func=cmd_zeros)
 
     sp = sub.add_parser("mollifier", help="Fourier data and curve-mean experiments")
@@ -381,7 +352,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--curve-mean", action="store_true")
     sp.add_argument("--t", type=float, default=100.0)
     sp.add_argument("--h", type=float, default=1000.0)
-    common(sp)
     sp.set_defaults(func=cmd_mollifier)
 
     return p

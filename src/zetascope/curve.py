@@ -11,7 +11,6 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
@@ -75,10 +74,6 @@ class TorusPoint:
 
     def get(self, p: int) -> float:
         return self.coords.get(int(p), 0.0)
-
-    def minus(self, other: "TorusPoint") -> "TorusPoint":
-        keys = set(self.coords) | set(other.coords)
-        return TorusPoint({p: (self.get(p) - other.get(p)) % 1.0 for p in keys})
 
 
 def curve_point(t: float, table: PrimeTable) -> TorusPoint:

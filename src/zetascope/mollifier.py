@@ -136,7 +136,7 @@ class FourierData:
         return 2.0 * self.decay_constant / (self.delta**3 * m)
 
 
-def fourier_coeffs(spec: MollifierSpec, q_count: int | None = None) -> FourierData:
+def fourier_coeffs(spec: MollifierSpec) -> FourierData:
     """alpha_n by high-order panel quadrature over the bump support.
 
     alpha_0 must come out as 1 (the bump integrates to 1); failure to meet
@@ -165,8 +165,7 @@ def fourier_coeffs(spec: MollifierSpec, q_count: int | None = None) -> FourierDa
         raise QuadratureFailureError(f"alpha_0 = {b[0]!r} deviates from 1")
     ns = np.arange(1, m + 1, dtype=float)
     decay = float(np.max(np.abs(b[1:]) * ns**2 * d**3))
-    q_eff = q_count if q_count is not None else spec.q
-    return FourierData(delta=d, alpha=b, decay_constant=decay, beta_norm_log=3.0 * float(q_eff))
+    return FourierData(delta=d, alpha=b, decay_constant=decay, beta_norm_log=3.0 * float(spec.q))
 
 
 def mollifier_product(theta: PhaseAssignment, spec: MollifierSpec, table: PrimeTable) -> float:

@@ -87,13 +87,10 @@ class BoundConstants:
 
     c1: float = 1.0
     c2: float = 1.0
-    c3: float = 1.0
     C1: float = 1.0
-    C2: float = 1.0
-    C3: float = 1.0
 
     def __post_init__(self):
-        for name in ("c1", "c2", "c3", "C1", "C2", "C3"):
+        for name in ("c1", "c2", "C1"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive")
 

@@ -74,13 +74,6 @@ class PrimeTable:
     def __len__(self):
         return len(self.primes)
 
-    def index_of(self, p: int) -> int:
-        """0-based position of p in the full ascending prime sequence."""
-        i = int(np.searchsorted(self.primes, p))
-        if i >= len(self.primes) or self.primes[i] != p:
-            raise KeyError(f"{p} is not a prime <= {self.limit}")
-        return i
-
 
 def primes_up_to(limit: int) -> PrimeTable:
     """Exactly the primes <= limit, ascending (empty for limit < 2)."""

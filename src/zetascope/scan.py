@@ -1,10 +1,13 @@
 """Grid scan of a window [T, T+H] for shifts matching derivative targets.
 
-The scan grid is finer than the fastest Euler-product oscillation in the
-window; grid dips are then polished by nested local refinement, and every
-reported hit is re-verified at doubled quadrature order. Candidate selection
-keeps a first-order safety margin so a sharp minimum sitting between grid
-points is still caught.
+One front end, `scan_derivs`, checks the targets once and picks the grid
+objective by mode: log-zeta derivatives (the Omega-result) or plain zeta
+derivatives (the Taylor data of weak universality); `scan_log_derivs` and
+`scan_zeta_derivs` name its two modes. The scan grid is finer than the
+fastest Euler-product oscillation in the window; grid dips are then polished
+by nested local refinement, and every reported hit is re-verified at doubled
+quadrature order. Candidate selection keeps a first-order safety margin so a
+sharp minimum sitting between grid points is still caught.
 """
 
 from __future__ import annotations
@@ -12,17 +15,18 @@ from __future__ import annotations
 import math
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import PathThroughZeroError, WindowConstraintError, ZeroConstantTermError
-from .zeta_engine import log_zeta_derivs, zeta_derivs
+from .zeta_engine import log_zeta_derivs, zeta_array, zeta_derivs
 
 __all__ = [
     "ScanWindow",
     "Hit",
     "ScanResult",
+    "scan_derivs",
     "scan_log_derivs",
     "scan_zeta_derivs",
     "refine_hit",
@@ -98,12 +102,6 @@ class ScanResult:
     sigma0: float
     mode: str
 
-    def __iter__(self):
-        return iter(self.hits)
-
-    def __len__(self):
-        return len(self.hits)
-
 
 def refine_hit(tau0: float, objective, radius: float) -> Hit:
     """Nested local minimisation of a scalar objective around tau0.
@@ -149,58 +147,49 @@ def _candidate_indices(vals: np.ndarray, eps: float) -> list:
 
     The bar eps + 1.5 * |local slope| * step accepts dips whose true minimum
     may sit between grid points; it is evaluated from the measured neighbour
-    differences, so no derivative model is needed.
+    differences, so no derivative model is needed. A NaN neighbour neither
+    blocks a minimum nor adds to its slope.
     """
-    n = len(vals)
-    out = []
-    for i in range(n):
-        v = vals[i]
-        if not math.isfinite(v):
-            continue
-        left = vals[i - 1] if i > 0 else math.inf
-        right = vals[i + 1] if i < n - 1 else math.inf
-        if v > left or v > right:
-            continue
-        slope_gap = max(
-            abs(v - left) if math.isfinite(left) else 0.0,
-            abs(right - v) if math.isfinite(right) else 0.0,
-        )
-        if v < eps + 1.5 * slope_gap:
-            out.append(i)
-    return out
+    v = np.asarray(vals, dtype=float)
+    padded = np.concatenate(([math.inf], v, [math.inf]))
+    left, right = padded[:-2], padded[2:]
+    with np.errstate(invalid="ignore"):
+        slope_gap = np.maximum(np.where(np.isfinite(left), np.abs(v - left), 0.0),
+                               np.where(np.isfinite(right), np.abs(right - v), 0.0))
+        keep = np.isfinite(v) & ~(v > left) & ~(v > right) & (v < eps + 1.5 * slope_gap)
+    return np.flatnonzero(keep).tolist()
 
 
 def _run_scan(objective_vec, grid: np.ndarray, window: ScanWindow, sigma0: float,
-              mode: str, threads: int, grid_vals: np.ndarray | None = None) -> ScanResult:
-    """Shared driver: evaluate the grid, refine candidates, verify hits."""
+              mode: str, threads: int, batched: bool = False) -> ScanResult:
+    """Shared driver: evaluate the grid, refine candidates, verify hits.
+
+    objective_vec(tau, verify) returns the residuals |derivs - targets| at one
+    shift; a batched objective also takes the whole grid in one call. Grid
+    points are otherwise split over `threads` workers in strided chunks.
+    """
     t_start = time.monotonic()
-    vals = np.full(len(grid), math.inf)
-    skipped = []
-
-    if grid_vals is not None:
-        vals = np.asarray(grid_vals, dtype=float).copy()
+    reasons = {}
+    if batched:
+        vals = np.asarray(objective_vec(grid, verify=False), dtype=float)
     else:
-        def eval_range(idx):
-            out = []
-            for i in idx:
-                try:
-                    out.append((i, objective_vec(float(grid[i]), verify=False)))
-                except PathThroughZeroError as exc:
-                    out.append((i, ("skip", str(exc))))
-            return out
+        vals = np.full(len(grid), math.inf)
 
-        indices = list(range(len(grid)))
-        if threads > 1:
-            chunks = [indices[i::threads] for i in range(threads)]
-            with ThreadPoolExecutor(max_workers=threads) as pool:
-                results = [item for part in pool.map(eval_range, chunks) for item in part]
+        def eval_chunk(first):
+            for i in range(first, len(grid), threads):
+                try:
+                    vals[i] = np.max(objective_vec(float(grid[i]), verify=False))
+                except PathThroughZeroError as exc:
+                    reasons[i] = str(exc)
+
+        if threads == 1:
+            # in this thread: a worker thread gets its own malloc arena,
+            # about 4 MiB more peak RSS on a single-threaded scan
+            eval_chunk(0)
         else:
-            results = eval_range(indices)
-        for i, res in sorted(results):
-            if isinstance(res, tuple) and len(res) == 2 and res[0] == "skip":
-                skipped.append({"tau": float(grid[i]), "reason": res[1]})
-                continue
-            vals[i] = float(np.max(res))
+            with ThreadPoolExecutor(max_workers=threads) as pool:
+                list(pool.map(eval_chunk, range(threads)))  # re-raises a worker's error
+    skipped = [{"tau": float(grid[i]), "reason": reasons[i]} for i in sorted(reasons)]
 
     hits = []
     for i in _candidate_indices(vals, window.eps):
@@ -241,71 +230,64 @@ def _run_scan(objective_vec, grid: np.ndarray, window: ScanWindow, sigma0: float
     )
 
 
-def scan_log_derivs(targets, sigma0: float, window: ScanWindow, *,
-                    threads: int = 1, max_order: int = MAX_ORDER_LOG) -> ScanResult:
-    """Scan for shifts where log-zeta derivatives match the targets.
+def scan_derivs(targets, sigma0: float, window: ScanWindow, *, mode: str = "log",
+                threads: int = 1) -> ScanResult:
+    """Scan the window for shifts tau where derivatives match the targets.
 
-    Evaluates max_k |d^k/ds^k log zeta(sigma0 + i tau) - targets[k]| on the
-    grid; dips below the window tolerance become verified hits. Grid points
-    where branch tracking hits a zero are skipped and recorded.
+    mode "log" matches d^k/ds^k log zeta(sigma0 + i tau) and mode "zeta"
+    matches d^k/ds^k zeta(sigma0 + i tau) against targets[k], k < n; the
+    grid objective is max_k |derivative - target|, and dips below the
+    window tolerance become verified hits. Derivatives come from Cauchy
+    circles, except for a single zeta target, whose residual
+    |zeta - targets[0]| is evaluated over the whole grid in one call. Grid
+    points where a circle meets a zero are skipped and recorded. The zeta
+    mode needs a nonzero constant target (a zero one would ask the scan to
+    find a zeta zero off the critical line).
     """
-    targets = tuple(complex(a) for a in targets)
-    n = len(targets)
+    if mode not in ("log", "zeta"):
+        raise ValueError(f"unknown scan mode {mode!r}; use 'log' or 'zeta'")
+    b = np.array([complex(a) for a in targets], dtype=complex)
+    n = len(b)
     if n < 1:
         raise ValueError("need at least one target")
-    if n - 1 >= max_order:
-        raise ValueError(f"derivative order cap is {max_order} for the log scan")
+    if mode == "zeta" and abs(b[0]) == 0.0:
+        raise ZeroConstantTermError("the constant target b_0 must be nonzero")
+    cap = MAX_ORDER_LOG if mode == "log" else MAX_ORDER_ZETA
+    if n - 1 >= cap:
+        raise ValueError(f"derivative order cap is {cap} for the {mode} scan")
     if not 0.5 < sigma0 < 1.0:
         raise ValueError("sigma0 must lie in (1/2, 1)")
-    a = np.array(targets)
+    if threads < 1:
+        raise ValueError("threads must be at least 1")
 
-    def objective_vec(tau, verify=False):
-        nodes = 128 if verify else 64
-        derivs, _ = log_zeta_derivs(n - 1, sigma0, tau, nodes=nodes)
-        return np.abs(derivs - a)
+    if mode == "log":
+        def objective_vec(tau, verify=False):
+            derivs, _ = log_zeta_derivs(n - 1, sigma0, tau, nodes=128 if verify else 64)
+            return np.abs(derivs - b)
+    elif n > 1:
+        def objective_vec(tau, verify=False):
+            derivs, _ = zeta_derivs(n - 1, complex(sigma0, tau), nodes=256 if verify else 128)
+            return np.abs(derivs - b)
+    else:
+        # the 0th circle coefficient is the value itself: no circle needed
+        def objective_vec(tau, verify=False):
+            s = sigma0 + 1j * np.atleast_1d(tau)
+            return np.abs(zeta_array(s, tol=1e-13 if verify else 1e-11) - b[0])
 
-    return _run_scan(objective_vec, window.grid(), window, sigma0, "log", threads)
+    return _run_scan(objective_vec, window.grid(), window, sigma0, mode, threads,
+                     batched=mode == "zeta" and n == 1)
+
+
+def scan_log_derivs(targets, sigma0: float, window: ScanWindow, *,
+                    threads: int = 1) -> ScanResult:
+    """scan_derivs in mode "log": match log-zeta derivatives."""
+    return scan_derivs(targets, sigma0, window, mode="log", threads=threads)
 
 
 def scan_zeta_derivs(targets, sigma0: float, window: ScanWindow, *,
-                     threads: int = 1, max_order: int = MAX_ORDER_ZETA) -> ScanResult:
-    """Scan for shifts where plain zeta derivatives match the targets.
-
-    The constant target must be nonzero (a zero constant term would ask the
-    scan to find a zeta zero off the critical line).
-    """
-    targets = tuple(complex(b) for b in targets)
-    if len(targets) < 1:
-        raise ValueError("need at least one target")
-    if abs(targets[0]) == 0.0:
-        raise ZeroConstantTermError("the constant target b_0 must be nonzero")
-    n = len(targets)
-    if n - 1 >= max_order:
-        raise ValueError(f"derivative order cap is {max_order} for the zeta scan")
-    if not 0.5 < sigma0 < 1.0:
-        raise ValueError("sigma0 must lie in (1/2, 1)")
-    b = np.array(targets)
-
-    def objective_vec(tau, verify=False):
-        nodes = 256 if verify else 128
-        derivs, _ = zeta_derivs(n - 1, complex(sigma0, tau), nodes=nodes)
-        return np.abs(derivs - b)
-
-    grid = window.grid()
-    grid_vals = None
-    if n == 1:
-        # the 0th circle coefficient is the value itself; one vector call
-        # covers the whole grid and single points skip the circle entirely
-        from .zeta_engine import zeta_array
-
-        grid_vals = np.abs(zeta_array(sigma0 + 1j * grid) - b[0])
-
-        def objective_vec(tau, verify=False):
-            tol = 1e-13 if verify else 1e-11
-            return np.abs(zeta_array(np.array([complex(sigma0, tau)]), tol=tol) - b[0])
-
-    return _run_scan(objective_vec, grid, window, sigma0, "zeta", threads,
-                     grid_vals=grid_vals)
+                     threads: int = 1) -> ScanResult:
+    """scan_derivs in mode "zeta": match plain zeta derivatives."""
+    return scan_derivs(targets, sigma0, window, mode="zeta", threads=threads)
 
 
 def density_estimate(result: ScanResult) -> float:

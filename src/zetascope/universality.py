@@ -22,7 +22,6 @@ from .zeta_engine import _circle_derivs, zeta_array
 
 __all__ = [
     "UniversalityTarget",
-    "TruncationPlan",
     "DiskCheck",
     "UniversalityReport",
     "boundary_max",
@@ -69,14 +68,6 @@ class UniversalityTarget:
             vals = np.asarray(self.g(s0 + rho * phis))
             if np.any(np.abs(vals) < 1e-280):
                 raise ValueError(f"target vanishes on the ring |s - s0| = {rho:g}")
-
-
-@dataclass(frozen=True)
-class TruncationPlan:
-    n: int
-    m_g: float
-    coeffs: tuple  # derivative values g^(k)(s0), k < n
-    g_norm: float  # sum |g^(k)(s0)|
 
 
 def boundary_max(g, s0: complex, r: float, samples: int = 256) -> float:
@@ -179,10 +170,6 @@ class DiskCheck:
     sup_diff: float
     margin: float
     verdict: bool
-
-    @property
-    def inflated(self) -> float:
-        return self.sup_diff + self.margin
 
 
 def check_disk_approximation(tau: float, target: UniversalityTarget, delta: float,
@@ -303,8 +290,6 @@ def run_universality(target: UniversalityTarget, t_start: float, h: float, *,
             f"target needs Taylor degree {n}, beyond the scan's derivative cap"
         )
     coeffs, coeff_err = taylor_coeffs(g, s0, r, n, return_error=True)
-    plan = TruncationPlan(n=n, m_g=m_g, coeffs=tuple(coeffs),
-                          g_norm=float(np.sum(np.abs(coeffs))))
     delta1 = (eps / 3.0) * math.exp(-d0 * r)
     if coeff_err >= delta1 / 2.0:
         raise NoConvergenceError(
@@ -312,7 +297,7 @@ def run_universality(target: UniversalityTarget, t_start: float, h: float, *,
             f"tolerance {delta1:.3g}"
         )
     window = ScanWindow(t=t_start, h=h, eps=delta1, nu=nu, step=step)
-    result = scan_zeta_derivs(plan.coeffs, s0.real, window, threads=threads)
+    result = scan_zeta_derivs(coeffs, s0.real, window, threads=threads)
     if not result.hits:
         raise NoHitsError(
             f"no shift in [{t_start:g}, {t_start + h:g}] matches the Taylor "
@@ -339,5 +324,5 @@ def run_universality(target: UniversalityTarget, t_start: float, h: float, *,
             )
         )
     return UniversalityReport(
-        n=n, delta1=delta1, m_g=m_g, coeffs=plan.coeffs, hits=tuple(hit_reports)
+        n=n, delta1=delta1, m_g=m_g, coeffs=tuple(coeffs), hits=tuple(hit_reports)
     )

@@ -111,20 +111,28 @@ def _em_eval(s: np.ndarray, n_trunc: int, n_bern: int):
     sigma = s.real
     guard = np.abs(s + (2 * n_bern + 1)) / np.maximum(sigma + 2 * n_bern + 1, 1.0)
     err = np.abs(term) * guard * 2.0
-    # floating-point accumulation floor: eps * log2(N) * sum |n^-s|
+    err += _em_floor(sigma, n_trunc)
+    return vals, err
+
+
+def _em_floor(sigma: np.ndarray, n_trunc: int) -> np.ndarray:
+    """Floating-point accumulation floor of _em_eval: eps * log2(N) * sum |n^-s|.
+
+    It grows with N, so no longer sum can bring an estimate below it.
+    """
     one_minus = np.where(np.abs(1.0 - sigma) < 1e-9, 1e-9, 1.0 - sigma)
     with np.errstate(over="ignore"):
-        absum = 1.0 + np.abs((nf ** np.minimum(one_minus, 300.0) - 1.0) / one_minus)
-    err += 1.1e-16 * math.log2(n_trunc) * absum
-    return vals, err
+        absum = 1.0 + np.abs((float(n_trunc) ** np.minimum(one_minus, 300.0) - 1.0) / one_minus)
+    return 1.1e-16 * math.log2(n_trunc) * absum
 
 
 def _zeta_eval(flat: np.ndarray, tol: float | None):
     """The one evaluator: (values, error estimates, truncation point) at flat.
 
-    Retries with longer sums until every estimate is within tol; tol = None
-    is one ungated pass, for Cauchy circles that scale tolerances themselves
-    (where a circle reaches into sigma < 0, the roundoff floor grows with |zeta|).
+    Retries with longer sums until every estimate is within tol, and refuses
+    before a pass whose rounding floor already exceeds tol; tol = None is one
+    ungated pass, for Cauchy circles that scale tolerances themselves (where
+    a circle reaches into sigma < 0, the roundoff floor grows with |zeta|).
     """
     if np.any(np.abs(flat - 1.0) < 1e-12):
         raise PoleAtOneError("zeta has a pole at s = 1")
@@ -136,6 +144,13 @@ def _zeta_eval(flat: np.ndarray, tol: float | None):
     n_trunc = int(max(24, (tmax + 60.0) / 3.0 + 8))
     n_bern = 30
     for _ in range(1 if tol is None else 4):
+        if tol is not None:
+            floor = float(np.max(_em_floor(flat.real, n_trunc)))
+            if floor > tol:
+                raise ToleranceUnreachableError(
+                    f"could not certify tolerance {tol:g} (rounding floor {floor:.3g} "
+                    f"at {n_trunc} terms)"
+                )
         vals, err = _em_eval(flat, n_trunc, n_bern)
         if tol is None or float(np.max(err)) <= tol:
             return vals, err, n_trunc

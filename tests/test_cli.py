@@ -27,8 +27,11 @@ def test_parse_complex_forms():
     assert parse_complex("2i") == 2j
     assert parse_complex("-i") == -1j
     assert parse_complex("1e-3+2e2i") == 0.001 + 200j
-    with pytest.raises(ValueError):
-        parse_complex("nonsense")
+    assert parse_complex("0.75+i") == 0.75 + 1j
+    assert parse_complex("2-j") == 2 - 1j
+    for bad in ("nonsense", ".8.5j", "1 + 2i", "nan", ""):
+        with pytest.raises(ValueError):
+            parse_complex(bad)
 
 
 def test_help_on_no_args(capsys):
@@ -41,6 +44,13 @@ def test_help_on_no_args(capsys):
 def test_unknown_flag_exits_2(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["zeta-eval", "--nope"])
+    assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("argv", [["zeros", "--format", "csv"], ["mollifier", "--q", "3", "--threads", "2"]])
+def test_options_only_where_read(argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
     assert exc.value.code == 2
 
 
@@ -100,6 +110,15 @@ def test_scan_zeta_zero_b0(capsys):
     )
     assert code == EXIT_INVALID
     assert "b_0" in err
+
+
+def test_scan_zero_threads_rejected(capsys):
+    code, _, err = run_cli(
+        capsys, "scan", "--mode", "zeta", "--t", "100", "--h", "10",
+        "--sigma0", "0.75", "--targets", "1.0", "--eps", "0.1", "--threads", "0",
+    )
+    assert code == EXIT_INVALID
+    assert "threads" in err
 
 
 def test_scan_csv_roundtrip(tmp_path, capsys):

@@ -1,7 +1,9 @@
-"""Every exported name resolves, and removed modules stay removed."""
+"""Every exported name resolves, removed modules stay removed, and no import is unused."""
 
+import ast
 import importlib
 import pkgutil
+from pathlib import Path
 
 import pytest
 
@@ -20,3 +22,20 @@ def test_all_names_resolve(name):
 def test_quadrature_module_is_gone():
     with pytest.raises(ImportError):
         importlib.import_module("zetascope.quadrature")
+
+
+SOURCES = sorted(p for p in Path(zetascope.__file__).parent.glob("*.py") if p.name != "__init__.py")
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_module_imports_are_used(path):
+    """Every module-level import is referenced."""
+    tree = ast.parse(path.read_text())
+    imported = set()
+    for node in tree.body:
+        if isinstance(node, ast.Import):
+            imported.update((a.asname or a.name).split(".")[0] for a in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported.update(a.asname or a.name for a in node.names)
+    used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+    assert sorted(imported - used) == []

@@ -12,9 +12,11 @@ from zetascope.scan import (
     Hit,
     ScanResult,
     ScanWindow,
+    _candidate_indices,
     _run_scan,
     density_estimate,
     refine_hit,
+    scan_derivs,
     scan_log_derivs,
     scan_zeta_derivs,
 )
@@ -103,11 +105,37 @@ def test_zero_constant_target_rejected():
 
 
 def test_thread_determinism():
-    targets, _ = zeta_derivs(1, 0.75 + 300.0j)
-    w = ScanWindow(t=295.0, h=10.0, eps=1e-2)
-    a = scan_zeta_derivs(tuple(targets), 0.75, w, threads=1)
-    b = scan_zeta_derivs(tuple(targets), 0.75, w, threads=3)
-    assert [(h.tau, h.residuals) for h in a.hits] == [(h.tau, h.residuals) for h in b.hits]
+    """Hits, skips and grid agree across thread counts for every objective."""
+    cases = [
+        ("log", tuple(log_zeta_derivs(1, 0.75, 500.0)[0]),
+         ScanWindow(t=495.0, h=10.0, eps=1e-3, step=0.25)),
+        ("zeta", (1.0,), ScanWindow(t=1000.0, h=10.0, eps=0.35)),  # one grid call
+        ("zeta", tuple(zeta_derivs(1, 0.75 + 300.0j)[0]), ScanWindow(t=295.0, h=10.0, eps=1e-2)),
+    ]
+    for mode, targets, w in cases:
+        a, b = (scan_derivs(targets, 0.75, w, mode=mode, threads=k) for k in (1, 3))
+        assert a.hits
+        assert [(h.tau, h.residuals) for h in a.hits] == [(h.tau, h.residuals) for h in b.hits]
+        assert (a.skipped, a.n_grid) == (b.skipped, b.n_grid)
+    with pytest.raises(ValueError, match="threads"):
+        scan_zeta_derivs((1.0,), 0.75, cases[1][2], threads=0)
+
+
+def test_scan_front_end_refusals():
+    w = ScanWindow(t=100.0, h=10.0, eps=0.1)
+    with pytest.raises(ValueError, match="mode"):
+        scan_derivs((1.0,), 0.75, w, mode="plain")
+    with pytest.raises(ValueError, match="cap is 8 for the log scan"):
+        scan_log_derivs((1.0,) * 9, 0.75, w)
+
+
+def test_candidate_indices_edges():
+    """Ties are minima; inf and NaN neighbours neither block nor add slope."""
+    vals = np.array([0.3, 0.1, 0.1, 0.5, np.inf, 0.2, np.nan, 0.4, 0.05, 0.05, np.inf])
+    assert _candidate_indices(vals, 0.25) == [1, 2, 5, 8, 9]
+    # shallow dips above eps + 1.5 * slope are not candidates
+    assert _candidate_indices(np.array([0.32, 0.3, 0.31, np.nan, 0.3, np.nan]), 0.25) == []
+    assert _candidate_indices(np.array([]), 0.25) == []
 
 
 def test_skip_recording():

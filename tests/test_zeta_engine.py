@@ -217,6 +217,18 @@ def test_scalar_and_array_evaluators_agree_exactly(s):
     assert ev.terms_used == n_trunc
 
 
+def test_tolerance_below_rounding_floor_is_refused_up_front(monkeypatch):
+    """No pass runs when even the first truncation's rounding floor exceeds tol."""
+    from zetascope import zeta_engine
+
+    passes = []
+    em_eval = zeta_engine._em_eval
+    monkeypatch.setattr(zeta_engine, "_em_eval", lambda *a: passes.append(a) or em_eval(*a))
+    with pytest.raises(ToleranceUnreachableError, match="rounding floor"):
+        zeta(0.75 + 1e4j, tol=1e-20)
+    assert passes == []
+
+
 def test_log_zeta_derivs_returns_when_rounds_run_out():
     """Near the critical line at height the node doubling ends unsettled:
     the last round is returned with its change as the error, not raised."""
