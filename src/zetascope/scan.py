@@ -4,10 +4,14 @@ One front end, `scan_derivs`, checks the targets once and picks the grid
 objective by mode: log-zeta derivatives (the Omega-result) or plain zeta
 derivatives (the Taylor data of weak universality); `scan_log_derivs` and
 `scan_zeta_derivs` name its two modes. The scan grid is finer than the
-fastest Euler-product oscillation in the window; grid dips are then polished
-by nested local refinement, and every reported hit is re-verified at doubled
-quadrature order. Candidate selection keeps a first-order safety margin so a
-sharp minimum sitting between grid points is still caught.
+fastest Euler-product oscillation in the window. Every objective takes an
+array of shifts: the grid goes to it in fixed chunks, whose circle nodes
+are evaluated in one batch, and the log mode gets log zeta itself by
+continuation along the scan line. Grid dips are then polished by nested
+local refinement, one objective call per level, and every reported hit is
+re-verified point by point at doubled quadrature order. Candidate
+selection keeps a first-order safety margin so a sharp minimum sitting
+between grid points is still caught.
 """
 
 from __future__ import annotations
@@ -20,7 +24,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import PathThroughZeroError, WindowConstraintError, ZeroConstantTermError
-from .zeta_engine import log_zeta_derivs, zeta_array, zeta_derivs
+from .zeta_engine import (
+    _log_zeta_line_derivs,
+    _zeta_circles,
+    log_zeta_derivs,
+    zeta_array,
+    zeta_derivs,
+)
 
 __all__ = [
     "ScanWindow",
@@ -35,6 +45,7 @@ __all__ = [
 
 MAX_ORDER_LOG = 8    # factorial noise amplification past this defeats eps
 MAX_ORDER_ZETA = 12  # larger circles allowed for the plain-zeta scan
+_CHUNK = 64  # grid points per objective call: one batch shape, whatever the thread count
 
 
 @dataclass(frozen=True)
@@ -101,26 +112,30 @@ class ScanResult:
     window: ScanWindow
     sigma0: float
     mode: str
+    wall_time: float = 0.0
 
 
 def refine_hit(tau0: float, objective, radius: float) -> Hit:
-    """Nested local minimisation of a scalar objective around tau0.
+    """Nested local minimisation of an objective around tau0.
 
-    Three grid levels shrinking by a factor 10, followed by a vertex fit
-    that handles both smooth (parabolic) and kinked (V-shaped) minima; the
-    search never leaves [tau0 - radius, tau0 + radius].
+    objective maps an array of shifts to an array of values, one call per
+    batch: tau0 itself, then per level its 21 grid points and its vertex
+    candidates. Three grid levels shrink by a factor 10, each followed by a
+    vertex fit that handles both smooth (parabolic) and kinked (V-shaped)
+    minima; the fit needs a finite bracketing triple. The search never
+    leaves [tau0 - radius, tau0 + radius].
     """
     lo, hi = tau0 - radius, tau0 + radius
-    best_t, best_v = tau0, float(objective(tau0))
+    best_t, best_v = tau0, float(objective(np.array([tau0]))[0])
     r = radius
     for _ in range(3):
         ts = np.clip(np.linspace(best_t - r, best_t + r, 21), lo, hi)
-        vs = np.array([float(objective(t)) for t in ts])
+        vs = np.asarray(objective(ts), dtype=float)
         i = int(np.argmin(vs))
         if vs[i] < best_v:
             best_t, best_v = float(ts[i]), float(vs[i])
         r /= 10.0
-        if 0 < i < len(ts) - 1:
+        if 0 < i < len(ts) - 1 and np.all(np.isfinite(vs[i - 1 : i + 2])):
             # vertex candidates from the bracketing triple
             t1, t2, t3 = ts[i - 1], ts[i], ts[i + 1]
             v1, v2, v3 = vs[i - 1], vs[i], vs[i + 1]
@@ -134,11 +149,11 @@ def refine_hit(tau0: float, objective, radius: float) -> Hit:
             if slope > 0:
                 t_v = 0.5 * (t1 + t3) + (v1 - v3) / (2.0 * slope)
                 cand.append(t_v)
-            for t in cand:
-                t = float(np.clip(t, lo, hi))
-                v = float(objective(t))
-                if v < best_v:
-                    best_t, best_v = t, v
+            if cand:
+                cts = np.clip(np.array(cand, dtype=float), lo, hi)
+                for t, v in zip(cts, np.asarray(objective(cts), dtype=float)):
+                    if v < best_v:
+                        best_t, best_v = float(t), float(v)
     return Hit(tau=best_t, residuals=(best_v,), refined=True)
 
 
@@ -160,60 +175,52 @@ def _candidate_indices(vals: np.ndarray, eps: float) -> list:
     return np.flatnonzero(keep).tolist()
 
 
-def _run_scan(objective_vec, grid: np.ndarray, window: ScanWindow, sigma0: float,
-              mode: str, threads: int, batched: bool = False) -> ScanResult:
+def _run_scan(objective, grid: np.ndarray, window: ScanWindow, sigma0: float,
+              mode: str, threads: int) -> ScanResult:
     """Shared driver: evaluate the grid, refine candidates, verify hits.
 
-    objective_vec(tau, verify) returns the residuals |derivs - targets| at one
-    shift; a batched objective also takes the whole grid in one call. Grid
-    points are otherwise split over `threads` workers in strided chunks.
+    objective(taus, verify) returns (residuals, reasons) at an array of
+    shifts: residuals[i] = |derivs - targets| at taus[i], a row of inf where
+    the shift could not be evaluated, and reasons maps those rows to why.
+    verify=True asks for the final verdict at doubled quadrature order. The
+    grid goes to the objective in chunks of _CHUNK points, shared over
+    `threads` workers; the chunks do not depend on the thread count, so
+    neither do the hits.
     """
     t_start = time.monotonic()
-    reasons = {}
-    if batched:
-        vals = np.asarray(objective_vec(grid, verify=False), dtype=float)
+    starts = range(0, len(grid), _CHUNK)
+    eval_chunk = lambda a: objective(grid[a : a + _CHUNK], verify=False)
+    if threads == 1:
+        # in this thread: a worker thread gets its own malloc arena,
+        # about 4 MiB more peak RSS on a single-threaded scan
+        done = list(map(eval_chunk, starts))
     else:
-        vals = np.full(len(grid), math.inf)
-
-        def eval_chunk(first):
-            for i in range(first, len(grid), threads):
-                try:
-                    vals[i] = np.max(objective_vec(float(grid[i]), verify=False))
-                except PathThroughZeroError as exc:
-                    reasons[i] = str(exc)
-
-        if threads == 1:
-            # in this thread: a worker thread gets its own malloc arena,
-            # about 4 MiB more peak RSS on a single-threaded scan
-            eval_chunk(0)
-        else:
-            with ThreadPoolExecutor(max_workers=threads) as pool:
-                list(pool.map(eval_chunk, range(threads)))  # re-raises a worker's error
+        with ThreadPoolExecutor(max_workers=threads) as pool:
+            done = list(pool.map(eval_chunk, starts))  # re-raises a worker's error
+    vals = np.empty(len(grid))
+    reasons = {}
+    for a, (resid, why) in zip(starts, done):
+        vals[a : a + len(resid)] = np.max(resid, axis=1)
+        reasons.update((a + i, msg) for i, msg in why.items())
     skipped = [{"tau": float(grid[i]), "reason": reasons[i]} for i in sorted(reasons)]
+
+    def max_residual(taus):
+        return np.max(objective(taus, verify=False)[0], axis=1)
 
     hits = []
     for i in _candidate_indices(vals, window.eps):
-        tau0 = float(grid[i])
-
-        def scalar_objective(tau):
-            try:
-                return float(np.max(objective_vec(tau, verify=False)))
-            except PathThroughZeroError:
-                return math.inf
-
         t0 = time.monotonic()
-        refined = refine_hit(tau0, scalar_objective, window.step)
+        refined = refine_hit(float(grid[i]), max_residual, window.step)
         # fresh evaluation at doubled quadrature order for the final verdict
-        try:
-            residuals = objective_vec(refined.tau, verify=True)
-        except PathThroughZeroError as exc:
-            skipped.append({"tau": refined.tau, "reason": str(exc)})
+        residuals, why = objective(np.array([refined.tau]), verify=True)
+        if why:
+            skipped.append({"tau": refined.tau, "reason": why[0]})
             continue
         if float(np.max(residuals)) < window.eps:
             hits.append(
                 Hit(
                     tau=refined.tau,
-                    residuals=tuple(float(r) for r in residuals),
+                    residuals=tuple(float(r) for r in residuals[0]),
                     refined=True,
                     wall_time=time.monotonic() - t0,
                 )
@@ -223,10 +230,9 @@ def _run_scan(objective_vec, grid: np.ndarray, window: ScanWindow, sigma0: float
     for h in sorted(hits, key=lambda h: h.tau):
         if not deduped or abs(h.tau - deduped[-1].tau) > window.step / 2.0:
             deduped.append(h)
-    _ = time.monotonic() - t_start
     return ScanResult(
         hits=deduped, skipped=skipped, n_grid=len(grid), window=window,
-        sigma0=sigma0, mode=mode,
+        sigma0=sigma0, mode=mode, wall_time=time.monotonic() - t_start,
     )
 
 
@@ -238,9 +244,12 @@ def scan_derivs(targets, sigma0: float, window: ScanWindow, *, mode: str = "log"
     matches d^k/ds^k zeta(sigma0 + i tau) against targets[k], k < n; the
     grid objective is max_k |derivative - target|, and dips below the
     window tolerance become verified hits. Derivatives come from Cauchy
-    circles, except for a single zeta target, whose residual
-    |zeta - targets[0]| is evaluated over the whole grid in one call. Grid
-    points where a circle meets a zero are skipped and recorded. The zeta
+    circles, batched over each chunk of shifts (the log mode takes the
+    circles of zeta and continues log zeta along the line), except for a
+    single zeta target, whose residual |zeta - targets[0]| needs only
+    `zeta_array`. A log-mode chunk whose continuation fails goes point by
+    point through `log_zeta_derivs`; points where its circle meets a zero
+    are skipped and recorded. Hits are verified point by point. The zeta
     mode needs a nonzero constant target (a zero one would ask the scan to
     find a zeta zero off the critical line).
     """
@@ -261,21 +270,39 @@ def scan_derivs(targets, sigma0: float, window: ScanWindow, *, mode: str = "log"
         raise ValueError("threads must be at least 1")
 
     if mode == "log":
-        def objective_vec(tau, verify=False):
-            derivs, _ = log_zeta_derivs(n - 1, sigma0, tau, nodes=128 if verify else 64)
-            return np.abs(derivs - b)
+        def per_point(taus, nodes):
+            resid, reasons = np.full((len(taus), n), math.inf), {}
+            for i, tau in enumerate(taus):
+                try:
+                    derivs, _ = log_zeta_derivs(n - 1, sigma0, float(tau), nodes=nodes)
+                    resid[i] = np.abs(derivs - b)
+                except PathThroughZeroError as exc:
+                    reasons[i] = str(exc)
+            return resid, reasons
+
+        def objective(taus, verify=False):
+            if not verify:
+                try:
+                    return np.abs(_log_zeta_line_derivs(n - 1, sigma0, taus)[0] - b), {}
+                except PathThroughZeroError:
+                    pass  # this chunk goes point by point, recording skips
+            return per_point(taus, 128 if verify else 64)
     elif n > 1:
-        def objective_vec(tau, verify=False):
-            derivs, _ = zeta_derivs(n - 1, complex(sigma0, tau), nodes=256 if verify else 128)
-            return np.abs(derivs - b)
+        def objective(taus, verify=False):
+            if verify:
+                derivs = [zeta_derivs(n - 1, complex(sigma0, t), nodes=256)[0] for t in taus]
+            else:
+                centres = sigma0 + 1j * taus
+                radius = min(1.5, 0.5 * float(np.min(np.abs(centres - 1.0))))
+                derivs = _zeta_circles(centres, radius, n - 1, 128, 1e-9)[0]
+            return np.abs(np.asarray(derivs) - b), {}
     else:
         # the 0th circle coefficient is the value itself: no circle needed
-        def objective_vec(tau, verify=False):
-            s = sigma0 + 1j * np.atleast_1d(tau)
-            return np.abs(zeta_array(s, tol=1e-13 if verify else 1e-11) - b[0])
+        def objective(taus, verify=False):
+            s = sigma0 + 1j * taus
+            return np.abs(zeta_array(s, tol=1e-13 if verify else 1e-11) - b[0])[:, None], {}
 
-    return _run_scan(objective_vec, window.grid(), window, sigma0, mode, threads,
-                     batched=mode == "zeta" and n == 1)
+    return _run_scan(objective, window.grid(), window, sigma0, mode, threads)
 
 
 def scan_log_derivs(targets, sigma0: float, window: ScanWindow, *,

@@ -3,11 +3,15 @@ derivatives, Selberg's explicit formula, and rectangle zero counting.
 
 The evaluator is Euler-Maclaurin with a truncation point scaling linearly in
 |Im s| and a Bernoulli correction series whose terms shrink geometrically
-once the truncation point passes |Im s| / (2 pi). One core, `_zeta_eval`,
-holds the pole and envelope checks and the truncation and retry policy;
-`zeta`, `zeta_array` and the circles of `zeta_derivs` are thin wrappers.
-All Cauchy-circle Taylor data (here and in `universality.taylor_coeffs`)
-comes from one node-doubling kernel, `_circle_derivs`.
+once the truncation point passes |Im s| / (2 pi). `_em_eval` sums either
+point by point or, for circle nodes c_j + z_m, separably: one matrix product
+of n^-c_j and n^-z_m per block of n; both share one tail, `_em_tail`. One
+core, `_zeta_eval`, holds the truncation and retry policy of the certified
+`zeta` and `zeta_array`; its pole and envelope checks and starting
+truncation point (`_truncation`) also serve the circles. All Cauchy-circle
+Taylor data (here and in `universality.taylor_coeffs`) comes from one
+node-doubling kernel over a batch of centres, `_circle_derivs`:
+`zeta_derivs` runs it on one centre and the scan on a chunk of grid points.
 
 Branch convention: log zeta is the principal branch on the real segment
 (1, inf) and is continued along horizontal segments from sigma = 10, where
@@ -83,22 +87,48 @@ class ZetaEval:
     terms_used: int
 
 
-def _em_eval(s: np.ndarray, n_trunc: int, n_bern: int):
-    """Euler-Maclaurin at all points of s with fixed truncation settings."""
-    bern = _bernoulli_over_factorial()
+def _em_eval(s: np.ndarray, n_trunc: int, n_bern: int, offsets: np.ndarray | None = None):
+    """Euler-Maclaurin at all points of s with fixed truncation settings.
+
+    Given offsets z, it evaluates at every s_j + z_m instead, shape
+    (len(s), len(z)): the main sum separates as sum_n n^-s_j n^-z_m, one
+    matrix product per block of n, so (len(s) + len(z)) * n_trunc complex
+    exponentials replace len(s) * len(z) * n_trunc. The factors of a block
+    hold at most 2^18 complex entries (4 MiB); the callers keep
+    len(s) * len(z) under the same bound.
+    """
     n = np.arange(1, n_trunc, dtype=float)
     log_n = np.log(n)
-    vals = np.empty(s.shape, dtype=complex)
-    chunk = max(1, (1 << 22) // n_trunc)
-    # one workspace for every chunk: n^-s is formed in place
-    work = np.empty((min(len(s), chunk), n_trunc - 1), dtype=complex)
-    for i in range(0, len(s), chunk):
-        sl = s[i : i + chunk]
-        w = work[: len(sl)]
-        np.outer(sl, log_n, out=w)
-        np.negative(w, out=w)
-        np.exp(w, out=w)
-        vals[i : i + chunk] = w.sum(axis=1)
+    if offsets is None:
+        vals = np.empty(s.shape, dtype=complex)
+        chunk = max(1, (1 << 22) // n_trunc)
+        # one workspace for every chunk: n^-s is formed in place
+        work = np.empty((min(len(s), chunk), n_trunc - 1), dtype=complex)
+        for i in range(0, len(s), chunk):
+            sl = s[i : i + chunk]
+            w = work[: len(sl)]
+            np.outer(sl, log_n, out=w)
+            np.negative(w, out=w)
+            np.exp(w, out=w)
+            vals[i : i + chunk] = w.sum(axis=1)
+    else:
+        vals = np.zeros((len(s), len(offsets)), dtype=complex)
+        block = max(1, (1 << 18) // max(len(s), len(offsets)))
+        for i in range(0, n_trunc - 1, block):
+            neg = -log_n[i : i + block]
+            left = np.exp(np.outer(s, neg))
+            right = np.exp(np.outer(neg, offsets))
+            vals += left @ right
+        s = s[:, None] + offsets
+    return vals, _em_tail(vals, s, n_trunc, n_bern)
+
+
+def _em_tail(vals: np.ndarray, s: np.ndarray, n_trunc: int, n_bern: int) -> np.ndarray:
+    """Adds the Euler-Maclaurin tail at s to the main sums vals, in place.
+
+    Returns the error estimate: the remainder bound plus the rounding floor.
+    """
+    bern = _bernoulli_over_factorial()
     nf = float(n_trunc)
     vals += nf ** (1.0 - s) / (s - 1.0) + 0.5 * nf ** (-s)
     # correction terms, built iteratively to avoid factorial overflow
@@ -112,7 +142,7 @@ def _em_eval(s: np.ndarray, n_trunc: int, n_bern: int):
     guard = np.abs(s + (2 * n_bern + 1)) / np.maximum(sigma + 2 * n_bern + 1, 1.0)
     err = np.abs(term) * guard * 2.0
     err += _em_floor(sigma, n_trunc)
-    return vals, err
+    return err
 
 
 def _em_floor(sigma: np.ndarray, n_trunc: int) -> np.ndarray:
@@ -126,33 +156,35 @@ def _em_floor(sigma: np.ndarray, n_trunc: int) -> np.ndarray:
     return 1.1e-16 * math.log2(n_trunc) * absum
 
 
-def _zeta_eval(flat: np.ndarray, tol: float | None):
-    """The one evaluator: (values, error estimates, truncation point) at flat.
-
-    Retries with longer sums until every estimate is within tol, and refuses
-    before a pass whose rounding floor already exceeds tol; tol = None is one
-    ungated pass, for Cauchy circles that scale tolerances themselves (where
-    a circle reaches into sigma < 0, the roundoff floor grows with |zeta|).
-    """
-    if np.any(np.abs(flat - 1.0) < 1e-12):
+def _truncation(points: np.ndarray) -> int:
+    """Pole and envelope checks at the points, and the starting truncation point."""
+    if np.any(np.abs(points - 1.0) < 1e-12):
         raise PoleAtOneError("zeta has a pole at s = 1")
-    tmax = float(np.max(np.abs(flat.imag)))
+    tmax = float(np.max(np.abs(points.imag)))
     if tmax > _IM_LIMIT:
         raise ToleranceUnreachableError(
             f"|Im s| = {tmax:g} outside the evaluator envelope {_IM_LIMIT:g}"
         )
-    n_trunc = int(max(24, (tmax + 60.0) / 3.0 + 8))
+    return int(max(24, (tmax + 60.0) / 3.0 + 8))
+
+
+def _zeta_eval(flat: np.ndarray, tol: float):
+    """The certified evaluator: (values, error estimates, truncation point) at flat.
+
+    Retries with longer sums until every estimate is within tol, and refuses
+    before a pass whose rounding floor already exceeds tol.
+    """
+    n_trunc = _truncation(flat)
     n_bern = 30
-    for _ in range(1 if tol is None else 4):
-        if tol is not None:
-            floor = float(np.max(_em_floor(flat.real, n_trunc)))
-            if floor > tol:
-                raise ToleranceUnreachableError(
-                    f"could not certify tolerance {tol:g} (rounding floor {floor:.3g} "
-                    f"at {n_trunc} terms)"
-                )
+    for _ in range(4):
+        floor = float(np.max(_em_floor(flat.real, n_trunc)))
+        if floor > tol:
+            raise ToleranceUnreachableError(
+                f"could not certify tolerance {tol:g} (rounding floor {floor:.3g} "
+                f"at {n_trunc} terms)"
+            )
         vals, err = _em_eval(flat, n_trunc, n_bern)
-        if tol is None or float(np.max(err)) <= tol:
+        if float(np.max(err)) <= tol:
             return vals, err, n_trunc
         n_trunc = int(n_trunc * 1.8) + 16
         n_bern = min(n_bern + 8, 60)
@@ -233,25 +265,56 @@ def log_zeta_tracked(sigma0: float, t: float) -> complex:
     return complex(math.log(abs(v_end)), total_arg)
 
 
-def _circle_derivs(f, radius: float, kmax: int, nodes: int, rounds: int):
-    """Cauchy-circle Taylor data of f(phi) = F(center + radius e^(i phi)).
+def _circle_derivs(f, count: int, radius: float, kmax: int, nodes: int, rounds: int,
+                   settle: float):
+    """Cauchy-circle Taylor data of F_j(c_j + radius e^(i phi)) for count centres c_j.
 
-    Each round doubles the equispaced nodes (at least `nodes`, 2(kmax+1))
-    and yields (d^k F/ds^k for k <= kmax, largest change from the round
-    before, inf on the first). Stopping is the caller's decision.
+    f(rows, phis) returns the (len(rows), len(phis)) values of the centres
+    `rows` at the node angles phis. Each round doubles the equispaced nodes
+    (at least `nodes`, 2(kmax+1)) and yields (derivs, change): d^k F_j/ds^k
+    for k <= kmax, shape (count, kmax+1), and each centre's largest change
+    from the round before (inf on the first). A centre settles once its
+    change is below settle * (1 + max_k |d^k F_j|): it keeps its values and
+    is not evaluated again. Both arrays are updated in place; the rounds end
+    when every centre has settled or after `rounds`.
     """
     ks = np.arange(kmax + 1)
     fact = np.array([math.factorial(int(k)) for k in ks], dtype=float)
-    prev = None
+    derivs = np.zeros((count, kmax + 1), dtype=complex)
+    change = np.full(count, math.inf)
+    rows = np.arange(count)
     m = max(nodes, 2 * (kmax + 1))
-    for _ in range(rounds):
+    for r in range(rounds):
         phis = np.linspace(0.0, 2.0 * math.pi, m, endpoint=False)
-        coeff = (np.asarray(f(phis))[None, :] * np.exp(-1j * np.outer(ks, phis))).mean(axis=1)
-        derivs = coeff * fact / radius ** ks.astype(float)
-        change = math.inf if prev is None else float(np.max(np.abs(derivs - prev)))
+        vals = np.asarray(f(rows, phis))
+        # one (rows, nodes) product per order keeps the temporaries small
+        coeff = np.stack([(vals * w).mean(axis=1) for w in np.exp(-1j * np.outer(ks, phis))],
+                         axis=1)
+        new = coeff * fact / radius ** ks.astype(float)
+        if r:
+            change[rows] = np.max(np.abs(new - derivs[rows]), axis=1)
+        derivs[rows] = new
         yield derivs, change
-        prev = derivs
+        rows = rows[~(change[rows] < settle * (1.0 + np.max(np.abs(derivs[rows]), axis=1)))]
+        if not rows.size:
+            return
         m *= 2
+
+
+def _zeta_circles(centres: np.ndarray, radius: float, kmax: int, nodes: int, settle: float):
+    """d^k zeta/ds^k for k <= kmax at every centre, on circles of one radius.
+
+    Each round evaluates every node of every unsettled circle in one
+    separable Euler-Maclaurin pass. Returns (derivs of shape
+    (len(centres), kmax + 1), each centre's last change).
+    """
+    def f(rows, phis):
+        c, z = centres[rows], radius * np.exp(1j * phis)
+        return _em_eval(c, _truncation(c[:, None] + z), 30, z)[0]
+
+    for derivs, change in _circle_derivs(f, len(centres), radius, kmax, nodes, 5, settle):
+        pass
+    return derivs, change
 
 
 def _circle_log_values(center: complex, radius: float, phis: np.ndarray) -> np.ndarray:
@@ -291,11 +354,52 @@ def log_zeta_derivs(kmax: int, sigma0: float, t: float, radius: float | None = N
     if radius <= 0:
         raise ValueError("radius must be positive (sigma0 too close to 1/2?)")
     center = complex(sigma0, t)
-    f = lambda phis: _circle_log_values(center, radius, phis)
-    for derivs, change in _circle_derivs(f, radius, kmax, nodes, 5):
-        if change < settle * (1.0 + float(np.max(np.abs(derivs)))):
-            break
-    return derivs, change
+    f = lambda rows, phis: _circle_log_values(center, radius, phis)[None, :]
+    for derivs, change in _circle_derivs(f, 1, radius, kmax, nodes, 5, settle):
+        pass
+    return derivs[0], float(change[0])
+
+
+def _log_zeta_line_derivs(kmax: int, sigma0: float, taus) -> tuple[np.ndarray, np.ndarray]:
+    """log_zeta_derivs at sigma0 + i tau for every tau of a short run, in one batch.
+
+    For k >= 1 the Taylor coefficients a_j of zeta on the circles of
+    log_zeta_derivs (one batched kernel) give those of log zeta by the
+    log-series recurrence b_k = (a_k - (1/k) sum_{0<j<k} j b_j a_{k-j}) / a_0,
+    which needs no branch. log zeta itself is continued along Re s = sigma0
+    from log_zeta_tracked at the lowest tau and checked against
+    log_zeta_tracked at the highest; they differ by 2 pi times the number of
+    zeros in [sigma0, 10] x [min tau, max tau]. A mismatch or a failed
+    continuation raises PathThroughZeroError. Zeros inside a circle but left
+    of the line are not seen (none exist off the critical line).
+
+    Returns (derivs of shape (len(taus), kmax + 1), per tau a first-order
+    error estimate of the k >= 1 values from the circle changes).
+    """
+    order = np.argsort(taus, kind="stable")
+    t = np.asarray(taus, dtype=float)[order]
+    params, vals, steps = _adaptive_track(lambda u: sigma0 + 1j * u, t)
+    arg = log_zeta_tracked(sigma0, float(t[0])).imag + np.concatenate([[0.0], np.cumsum(steps)])
+    if len(t) > 1 and abs(arg[-1] - log_zeta_tracked(sigma0, float(t[-1])).imag) > 1e-6:
+        raise PathThroughZeroError(
+            f"log zeta continued along Re s = {sigma0:g} over [{t[0]:g}, {t[-1]:g}] "
+            f"misses the horizontal continuation: a zero lies right of the line"
+        )
+    idx = np.searchsorted(params, t)
+    centres = sigma0 + 1j * t
+    radius = min(0.8 * (sigma0 - 0.5), 0.5 * float(np.min(np.abs(centres - 1.0))))
+    zeta_d, change = _zeta_circles(centres, radius, kmax, 64, 1e-11)
+    fact = np.array([math.factorial(k) for k in range(kmax + 1)], dtype=float)
+    a = zeta_d / fact
+    b = np.empty_like(a)
+    b[:, 0] = np.log(np.abs(vals[idx])) + 1j * arg[idx]
+    for k in range(1, kmax + 1):
+        acc = sum(j * b[:, j] * a[:, k - j] for j in range(1, k))
+        b[:, k] = (a[:, k] - acc / k) / a[:, 0]
+    derivs = b * fact
+    err = change / np.abs(a[:, 0]) * (1.0 + np.max(np.abs(derivs), axis=1))
+    undo = np.argsort(order)
+    return derivs[undo], err[undo]
 
 
 def log_zeta_deriv(k: int, sigma0: float, t: float, radius: float | None = None) -> complex:
@@ -308,18 +412,16 @@ def zeta_derivs(kmax: int, center: complex, radius: float | None = None,
                 nodes: int = 128) -> tuple[np.ndarray, float]:
     """Plain zeta derivatives at a point by Cauchy circle quadrature.
 
-    No branch issues here; the only excluded point is the pole at s = 1.
+    The batched circle kernel with one centre. No branch issues here; the
+    only excluded point is the pole at s = 1.
     """
     center = complex(center)
     if radius is None:
         radius = min(1.5, 0.5 * abs(center - 1.0))
     if abs(center - 1.0) <= radius:
         raise PoleAtOneError("derivative circle encloses the pole at s = 1")
-    f = lambda phis: _zeta_eval(center + radius * np.exp(1j * phis), None)[0]
-    for derivs, change in _circle_derivs(f, radius, kmax, nodes, 5):
-        if change < 1e-9 * (1.0 + float(np.max(np.abs(derivs)))):
-            break
-    return derivs, change
+    derivs, change = _zeta_circles(np.array([center]), radius, kmax, nodes, 1e-9)
+    return derivs[0], float(change[0])
 
 
 # ----------------------------------------------------------------------

@@ -1,7 +1,9 @@
-"""Every exported name resolves, removed modules stay removed, and no import is unused."""
+"""Every exported name resolves, removed modules stay removed, no import is
+unused, and the benchmark's traced run still finds what it wraps."""
 
 import ast
 import importlib
+import importlib.util
 import pkgutil
 from pathlib import Path
 
@@ -39,3 +41,14 @@ def test_module_imports_are_used(path):
             imported.update(a.asname or a.name for a in node.names)
     used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
     assert sorted(imported - used) == []
+
+
+def test_benchmark_spans_resolve():
+    """Every (module, name) that perfbench/tracing.py wraps exists in zetascope."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    missing = [(module, name) for module, name, _ in tracing.SPANNED
+               if not hasattr(importlib.import_module(f"zetascope.{module}"), name)]
+    assert tracing.SPANNED and missing == []

@@ -1,14 +1,17 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 
+from zetascope import scan as scan_module
 from zetascope.errors import (
     PathThroughZeroError,
     WindowConstraintError,
     ZeroConstantTermError,
 )
 from zetascope.scan import (
+    _CHUNK,
     Hit,
     ScanResult,
     ScanWindow,
@@ -46,12 +49,12 @@ def test_degenerate_two_point_grid():
 
 
 def test_refine_hit_known_minimum():
-    hit = refine_hit(3.1, lambda t: abs(math.sin(t)), 0.1)
+    hit = refine_hit(3.1, lambda t: np.abs(np.sin(t)), 0.1)
     assert abs(hit.tau - math.pi) < 1e-6
 
 
 def test_refine_hit_constant_objective():
-    hit = refine_hit(5.0, lambda t: 7.25, 0.5)
+    hit = refine_hit(5.0, lambda t: np.full_like(t, 7.25), 0.5)
     assert hit.tau == 5.0
 
 
@@ -64,6 +67,7 @@ def test_self_referential_log_scan():
     targets, _ = log_zeta_derivs(1, 0.75, 500.0)
     w = ScanWindow(t=495.0, h=10.0, eps=1e-3)
     result = scan_log_derivs(tuple(targets), 0.75, w)
+    assert result.wall_time > 0.0
     assert len(result.hits) >= 1
     best = min(result.hits, key=lambda h: abs(h.tau - 500.0))
     assert abs(best.tau - 500.0) < w.step
@@ -107,16 +111,19 @@ def test_zero_constant_target_rejected():
 def test_thread_determinism():
     """Hits, skips and grid agree across thread counts for every objective."""
     cases = [
+        # 101 points: a full chunk and a partial one
         ("log", tuple(log_zeta_derivs(1, 0.75, 500.0)[0]),
-         ScanWindow(t=495.0, h=10.0, eps=1e-3, step=0.25)),
-        ("zeta", (1.0,), ScanWindow(t=1000.0, h=10.0, eps=0.35)),  # one grid call
+         ScanWindow(t=495.0, h=10.0, eps=1e-3, step=0.1)),
+        ("zeta", (1.0,), ScanWindow(t=1000.0, h=10.0, eps=0.35)),
         ("zeta", tuple(zeta_derivs(1, 0.75 + 300.0j)[0]), ScanWindow(t=295.0, h=10.0, eps=1e-2)),
     ]
+    assert len(cases[0][2].grid()) % _CHUNK and len(cases[0][2].grid()) > _CHUNK
     for mode, targets, w in cases:
-        a, b = (scan_derivs(targets, 0.75, w, mode=mode, threads=k) for k in (1, 3))
+        a, *rest = (scan_derivs(targets, 0.75, w, mode=mode, threads=k) for k in (1, 2, 3))
         assert a.hits
-        assert [(h.tau, h.residuals) for h in a.hits] == [(h.tau, h.residuals) for h in b.hits]
-        assert (a.skipped, a.n_grid) == (b.skipped, b.n_grid)
+        for b in rest:
+            assert [(h.tau, h.residuals) for h in a.hits] == [(h.tau, h.residuals) for h in b.hits]
+            assert (a.skipped, a.n_grid) == (b.skipped, b.n_grid)
     with pytest.raises(ValueError, match="threads"):
         scan_zeta_derivs((1.0,), 0.75, cases[1][2], threads=0)
 
@@ -143,10 +150,11 @@ def test_skip_recording():
     w = ScanWindow(t=10.0, h=5.0, eps=0.5, step=1.0)
     grid = w.grid()
 
-    def objective(tau, verify=False):
-        if abs(tau - 12.0) < 0.5:
-            raise PathThroughZeroError("synthetic zero on path")
-        return np.array([abs(math.sin(tau)) + 0.6])  # never below eps
+    def objective(taus, verify=False):
+        resid = (np.abs(np.sin(taus)) + 0.6)[:, None]  # never below eps
+        bad = np.abs(taus - 12.0) < 0.5
+        resid[bad] = math.inf
+        return resid, {int(i): "synthetic zero on path" for i in np.flatnonzero(bad)}
 
     result = _run_scan(objective, grid, w, 0.75, "log", threads=1)
     assert result.hits == []
@@ -170,3 +178,63 @@ def test_hit_record_schema():
     rec = h.to_record(0.75, 0.3)
     assert set(rec) == {"tau", "sigma0", "n", "eps", "residuals", "refined", "wall_time"}
     assert rec["n"] == 2
+
+
+def test_refine_hit_inf_bracket_makes_no_nan_call():
+    """A minimum bracketed by inf gets no vertex fit: no NaN shift, no warning."""
+    seen = []
+
+    def objective(ts):
+        ts = np.asarray(ts, dtype=float)
+        seen.extend(np.atleast_1d(ts).tolist())
+        return np.where(np.abs(ts - 3.0) <= 0.004, np.abs(ts - 3.0) + 0.1, math.inf)
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        hit = refine_hit(3.0, objective, 0.1)
+    assert not np.any(np.isnan(seen))
+    assert abs(hit.tau - 3.0) <= 0.004
+
+
+@pytest.mark.parametrize("mode", ["log", "zeta"])
+def test_grid_objective_matches_per_point(mode, monkeypatch):
+    """Over a whole window the batched grid objective agrees with the
+    per-point circles to 1e-9 relative."""
+    if mode == "log":
+        targets = log_zeta_derivs(1, 0.75, 500.0)[0]
+        per_point = lambda t: log_zeta_derivs(1, 0.75, t, nodes=64)[0]
+    else:
+        targets = zeta_derivs(2, 0.75 + 500.0j)[0]
+        per_point = lambda t: zeta_derivs(2, complex(0.75, t), nodes=128)[0]
+    w = ScanWindow(t=495.0, h=10.0, eps=1e-3)
+    captured = []
+    monkeypatch.setattr(scan_module, "_run_scan", lambda objective, *a: captured.append(objective))
+    scan_derivs(tuple(targets), 0.75, w, mode=mode)
+    grid = w.grid()
+    got = [captured[0](grid[a : a + _CHUNK], verify=False) for a in range(0, len(grid), _CHUNK)]
+    assert all(not reasons for _, reasons in got)
+    batched = np.concatenate([resid for resid, _ in got])
+    for t, row in zip(grid, batched):
+        ref = np.abs(per_point(t) - targets)
+        assert np.max(np.abs(row - ref)) <= 1e-9 * (1.0 + np.max(np.abs(targets)) + np.max(ref)), t
+
+
+def test_log_chunk_falls_back_to_per_point(monkeypatch):
+    """A chunk whose line continuation fails goes point by point, so a circle
+    that meets a zero is recorded as a skip, as before."""
+    real = scan_module.log_zeta_derivs
+
+    def failing_line(kmax, sigma0, taus):
+        raise PathThroughZeroError("synthetic continuation failure")
+
+    def per_point(kmax, sigma0, t, **kwargs):
+        if abs(t - 497.0) < 0.01:
+            raise PathThroughZeroError("synthetic zero on circle")
+        return real(kmax, sigma0, t, **kwargs)
+
+    monkeypatch.setattr(scan_module, "_log_zeta_line_derivs", failing_line)
+    monkeypatch.setattr(scan_module, "log_zeta_derivs", per_point)
+    targets = tuple(real(1, 0.75, 500.0)[0])
+    result = scan_log_derivs(targets, 0.75, ScanWindow(t=495.0, h=10.0, eps=1e-3, step=0.25))
+    assert result.skipped == [{"tau": 497.0, "reason": "synthetic zero on circle"}]
+    assert any(abs(h.tau - 500.0) < 0.25 for h in result.hits)

@@ -1,5 +1,6 @@
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 
@@ -235,3 +236,61 @@ def test_log_zeta_derivs_returns_when_rounds_run_out():
     derivs, err = log_zeta_derivs(3, 0.55, 2000.0)
     assert derivs.shape == (4,)
     assert err > 1e-11 * (1.0 + float(np.max(np.abs(derivs))))
+
+
+def _mp_arg_change(t, a, b, za, zb):
+    step = float(mp.arg(zb / za))
+    if abs(step) <= 0.3:
+        return step
+    m = 0.5 * (a + b)
+    zm = mp.zeta(mp.mpc(m, t))
+    return _mp_arg_change(t, a, m, za, zm) + _mp_arg_change(t, m, b, zm, zb)
+
+
+def _mp_log_zeta_derivs(sigma, t):
+    """log zeta, (log zeta)' and (log zeta)'' at sigma + i t from mpmath at 30
+    digits; the argument is continued from sigma = 10 along Im s = t."""
+    with mp.workdps(30):
+        xs = np.linspace(10.0, sigma, 9)
+        zs = [mp.zeta(mp.mpc(x, t)) for x in xs]
+        arg = float(mp.arg(zs[0])) + sum(
+            _mp_arg_change(t, a, b, za, zb) for a, b, za, zb in zip(xs, xs[1:], zs, zs[1:])
+        )
+        s = mp.mpc(sigma, t)
+        z0, z1, z2 = (mp.zeta(s, derivative=k) for k in range(3))
+        return np.array([complex(mp.log(abs(z0)), arg), complex(z1 / z0),
+                         complex(z2 / z0 - (z1 / z0) ** 2)])
+
+
+@pytest.mark.parametrize("tau", [500.0, 2000.0, 5000.0])
+def test_batched_log_derivs_against_mpmath(tau):
+    """Oracle: the batched log-zeta derivatives of a run of shifts, k <= 2."""
+    from zetascope.zeta_engine import _log_zeta_line_derivs
+
+    taus = tau + np.array([0.0, 0.15, 0.3])
+    derivs, err = _log_zeta_line_derivs(2, 0.75, taus)
+    for t, d, e in zip(taus, derivs, err):
+        ref = _mp_log_zeta_derivs(0.75, t)
+        assert np.max(np.abs(d - ref)) <= max(e, 1e-9 * (1.0 + np.max(np.abs(d)))), t
+
+
+def test_batched_zeta_derivs_against_mpmath():
+    """Oracle: batched zeta derivatives, k <= 7, on circles of radius 1.5."""
+    from zetascope.zeta_engine import _zeta_circles
+
+    centres = 0.75 + 1j * (1000.0 + np.array([0.0, 0.37, 0.74]))
+    derivs, change = _zeta_circles(centres, 1.5, 7, 128, 1e-9)
+    for c, d, e in zip(centres, derivs, change):
+        with mp.workdps(30):
+            ref = np.array([complex(mp.zeta(mp.mpc(c.real, c.imag), derivative=k))
+                            for k in range(8)])
+        assert np.max(np.abs(d - ref)) <= max(e, 1e-9 * (1.0 + np.max(np.abs(d)))), c
+
+
+def test_line_continuation_sees_a_zero_right_of_the_line():
+    """Continued along Re s = 0.4 past the zero at 1/2 + 14.13i, log zeta misses
+    the horizontal continuation by 2 pi: the batch refuses."""
+    from zetascope.zeta_engine import _log_zeta_line_derivs
+
+    with pytest.raises(PathThroughZeroError, match="right of the line"):
+        _log_zeta_line_derivs(1, 0.4, np.array([14.0, 14.3]))
