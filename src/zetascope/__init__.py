@@ -43,7 +43,6 @@ from .zeta_engine import (
     ZeroCount,
     ZetaEval,
     count_zeros,
-    log_zeta_deriv,
     log_zeta_derivs,
     log_zeta_tracked,
     selberg_log_zeta,

@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import sys
 
 import numpy as np
@@ -49,6 +50,22 @@ def parse_complex(text: str) -> complex:
     if not np.isfinite(z):
         raise ValueError(f"complex literal {text!r} is not finite")
     return z
+
+
+class _Parser(argparse.ArgumentParser):
+    """Reads a token of "-" and a digit or "." as a value, as Python 3.13
+    does, so that complex literals such as -0.2+2i pass as arguments; and
+    "--targets=a b" as the two targets a and b."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"-\.?\d")
+
+    def parse_known_args(self, args=None, namespace=None):
+        args = sys.argv[1:] if args is None else args
+        args = [part for a in args
+                for part in (a.split("=", 1) if a.startswith("--targets=") else (a,))]
+        return super().parse_known_args(args, namespace)
 
 
 def _emit(record: dict, fmt: str, stream=None) -> None:
@@ -110,8 +127,7 @@ def _target_spec(args):
     from .omega import TargetSpec
 
     targets = tuple(parse_complex(t) for t in args.targets)
-    return TargetSpec(n=args.n if args.n else len(targets), sigma0=args.sigma0,
-                      targets=targets, eps=args.eps)
+    return TargetSpec(n=len(targets), sigma0=args.sigma0, targets=targets, eps=args.eps)
 
 
 def cmd_solve_omega(args) -> int:
@@ -274,7 +290,7 @@ def cmd_mollifier(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    p = argparse.ArgumentParser(
+    p = _Parser(
         prog="zetascope",
         description="Numerical experiments around zeta shifts: phase-target "
         "construction, short-interval scans, and weak universality checks.",
@@ -290,7 +306,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(func=cmd_zeta_eval)
 
     sp = sub.add_parser("solve-omega", help="construct phases hitting derivative targets")
-    sp.add_argument("--n", type=int, default=None)
     sp.add_argument("--sigma0", type=float, required=True)
     sp.add_argument("--targets", nargs="+", required=True)
     sp.add_argument("--eps", type=float, required=True)
@@ -302,7 +317,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(func=cmd_solve_omega)
 
     sp = sub.add_parser("calibrate", help="search the smallest workable block start u0")
-    sp.add_argument("--n", type=int, default=None)
     sp.add_argument("--sigma0", type=float, required=True)
     sp.add_argument("--targets", nargs="+", required=True)
     sp.add_argument("--eps", type=float, required=True)

@@ -24,7 +24,6 @@ import numpy as np
 
 from .errors import (
     DegenerateNodesError,
-    EmptyBlockError,
     InfeasiblePartitionError,
     ResidualExceededError,
     UnreachableError,
@@ -454,11 +453,7 @@ def _default_q(u0: float, n: int) -> float:
 
 def _attempt(spec: TargetSpec, u0: float, q: float | None,
              feas_margin: float) -> tuple[PhaseAssignment, ConstructionReport]:
-    import warnings
-
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")  # thin blocks are reported, not warned, here
-        blocks = build_blocks(u0, spec.n, spec.sigma0)
+    blocks = build_blocks(u0, spec.n, spec.sigma0, warn_thin=False)  # reported, not warned
     q = q if q is not None else _default_q(u0, spec.n)
     tail = tail_constants(spec, blocks, q)
     rhs = [a - g for a, g in zip(spec.targets, tail.values)]
@@ -529,8 +524,7 @@ def calibrate_u0(spec: TargetSpec, *, u0_grid=None, feas_margin: float = 0.9):
         try:
             assignment, report = _attempt(spec, u0, None, feas_margin)
             return u0, assignment, report
-        except (EmptyBlockError, UnreachableError, InfeasiblePartitionError,
-                ResidualExceededError, ZetascopeError) as exc:
+        except ZetascopeError as exc:
             last_error = exc
     raise UnreachableError(
         f"no u0 in the calibration grid solves the target system "

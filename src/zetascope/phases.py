@@ -157,28 +157,26 @@ def prime_phase_sum_deriv(primes, k: int, sigma0: float, theta: PhaseAssignment)
 
 
 def default_ell_max(primes, k: int, sigma0: float, tol: float = 1e-14) -> int:
-    """Smallest prime-power depth whose dyadic tail estimate drops below tol.
+    """Smallest prime-power depth ell >= max(2, k + 1), at most 10_000, whose
+    rigorous tail bound `_tail_bound` is below tol.
 
-    Uses the dominant p = 2 shape: 2^(-ell*sigma0) * |P| * (ell*log(max P))^k
-    / (1 - 2^(-sigma0)).
+    The bound is infinite for small ell and decreases after, so doubling
+    and then bisection find the depth in a few evaluations.
     """
     ps = _as_array(primes, float)
     if ps.size == 0:
         return 1
-    np_count = len(ps)
-    logmax = math.log(float(np.max(ps)))
-    ell = max(2, k + 1)
-    while ell < 10_000:
-        est = (
-            2.0 ** (-ell * sigma0)
-            * np_count
-            * (ell * max(logmax, 1.0)) ** k
-            / (1.0 - 2.0 ** (-sigma0))
-        )
-        if est < tol:
-            return ell
-        ell += 1
-    return ell
+    below = lambda ell: _tail_bound(ps, k, sigma0, ell) < tol
+    hi = max(2, k + 1)
+    lo = hi - 1
+    while not below(hi):
+        if hi >= 10_000:
+            return hi
+        lo, hi = hi, min(2 * hi, 10_000)
+    while hi - lo > 1:  # below(hi), and lo is below the first depth or not below(lo)
+        mid = (lo + hi) // 2
+        lo, hi = (lo, mid) if below(mid) else (mid, hi)
+    return hi
 
 
 @dataclass(frozen=True)

@@ -29,7 +29,6 @@ from .zeta_engine import (
     _zeta_circles,
     log_zeta_derivs,
     zeta_array,
-    zeta_derivs,
 )
 
 __all__ = [
@@ -289,13 +288,10 @@ def scan_derivs(targets, sigma0: float, window: ScanWindow, *, mode: str = "log"
             return per_point(taus, 128 if verify else 64)
     elif n > 1:
         def objective(taus, verify=False):
-            if verify:
-                derivs = [zeta_derivs(n - 1, complex(sigma0, t), nodes=256)[0] for t in taus]
-            else:
-                centres = sigma0 + 1j * taus
-                radius = min(1.5, 0.5 * float(np.min(np.abs(centres - 1.0))))
-                derivs = _zeta_circles(centres, radius, n - 1, 128, 1e-9)[0]
-            return np.abs(np.asarray(derivs) - b), {}
+            centres = sigma0 + 1j * taus
+            radius = min(1.5, 0.5 * float(np.min(np.abs(centres - 1.0))))
+            derivs = _zeta_circles(centres, radius, n - 1, 256 if verify else 128, 1e-9)[0]
+            return np.abs(derivs - b), {}
     else:
         # the 0th circle coefficient is the value itself: no circle needed
         def objective(taus, verify=False):

@@ -44,7 +44,6 @@ __all__ = [
     "zeta",
     "zeta_array",
     "log_zeta_tracked",
-    "log_zeta_deriv",
     "log_zeta_derivs",
     "zeta_derivs",
     "chi_factor",
@@ -402,12 +401,6 @@ def _log_zeta_line_derivs(kmax: int, sigma0: float, taus) -> tuple[np.ndarray, n
     return derivs[undo], err[undo]
 
 
-def log_zeta_deriv(k: int, sigma0: float, t: float, radius: float | None = None) -> complex:
-    """Single derivative of log zeta (k = 0 reproduces log_zeta_tracked)."""
-    derivs, _ = log_zeta_derivs(k, sigma0, t, radius)
-    return complex(derivs[k])
-
-
 def zeta_derivs(kmax: int, center: complex, radius: float | None = None,
                 nodes: int = 128) -> tuple[np.ndarray, float]:
     """Plain zeta derivatives at a point by Cauchy circle quadrature.
@@ -617,38 +610,39 @@ def von_mangoldt_table(limit: int) -> np.ndarray:
     return _von_mangoldt_cached(int(limit)).copy()
 
 
-def weighted_von_mangoldt(n: int, x: float) -> float:
-    """Selberg's linearly damped von Mangoldt weight.
+def _damped_weights(x: float, limit: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(n, Lambda(n), Lambda_x(n)) for n = 2..limit.
 
-    Full weight below x, linear taper log(x^2/n)/log(x) on [x, x^2], zero
-    beyond x^2.
+    Selberg's damped weight Lambda_x(n) = Lambda(n) clip(log(x^2/n)/log x, 0, 1)
+    is the full weight below x, tapers linearly in log n on [x, x^2] and is
+    zero beyond x^2.
     """
+    n = np.arange(2, limit + 1, dtype=float)
+    lam = _von_mangoldt_cached(max(limit, 4))[2 : limit + 1]
+    return n, lam, lam * np.clip(np.log(x * x / n) / math.log(x), 0.0, 1.0)
+
+
+def weighted_von_mangoldt(n: int, x: float) -> float:
+    """Selberg's damped weight Lambda_x(n) at one n (see _damped_weights)."""
     if n < 1:
         raise ValueError("n must be positive")
     if x <= 1:
         raise ValueError("x must exceed 1")
     if n == 1 or n > x * x:
         return 0.0
-    lam = float(_von_mangoldt_cached(max(int(n), 4))[int(n)])
-    if lam == 0.0:
-        return 0.0
-    if n < x:
-        return float(lam)
-    return float(lam * math.log(x * x / n) / math.log(x))
+    return float(_damped_weights(x, int(n))[2][-1])
 
 
 @dataclass(frozen=True)
 class SelbergSpec:
     """Inputs for the explicit formula: damping point x and known zeros.
 
-    zeros holds positive ordinates in ascending order; conjugates are added
-    internally. q_max = None lets the geometric decay choose the cutoff of
-    the trivial-zero series.
+    zeros holds positive ordinates in ascending order; `singularities` adds
+    their conjugates, the trivial zeros and the pole.
     """
 
     x: float
     zeros: np.ndarray = field(default_factory=lambda: np.array([]))
-    q_max: int | None = None
     coverage: float | None = None  # ordinate up to which the list is complete
 
     def __post_init__(self):
@@ -673,53 +667,48 @@ class SelbergSpec:
             )
 
     def trivial_cutoff(self, sigma: float) -> int:
-        if self.q_max is not None:
-            return self.q_max
-        # smallest q with x^(-2q - sigma) below 1e-16
-        q = 1
-        while self.x ** (-(2 * q + sigma)) >= 1e-16 and q < 64:
-            q += 1
-        return q
+        # smallest q >= 1 with x^(-2q - sigma) below 1e-16, at most 64
+        q = math.floor((16.0 * math.log(10.0) / math.log(self.x) - sigma) / 2) + 1
+        return min(64, max(1, q))
+
+    def singularities(self, sigma: float) -> tuple[np.ndarray, np.ndarray]:
+        """Points z and multiplicities m of the explicit formula at Re s = sigma:
+        each zero and its conjugate (+1), the trivial zeros -2q up to
+        trivial_cutoff(sigma) (+1), and the pole at 1 (-1)."""
+        g = self.zeros
+        trivial = -2.0 * np.arange(1, self.trivial_cutoff(sigma) + 1)
+        z = np.concatenate([0.5 + 1j * g, 0.5 - 1j * g, trivial, [1.0]])
+        m = np.ones(len(z))
+        m[-1] = -1.0
+        return z, m
 
 
-def _all_rho(spec: SelbergSpec) -> np.ndarray:
-    g = spec.zeros
-    return np.concatenate([0.5 + 1j * g, 0.5 - 1j * g])
+def _kernel(s, z, x: float):
+    """K(s, z) = (x^(z-s) - x^(2(z-s))) / (s-z)^2, the term of a singularity z
+    in log(x) times zeta'/zeta(s)."""
+    d = z - s
+    return (np.exp(d * math.log(x)) - np.exp(2.0 * d * math.log(x))) / d**2
 
 
 def selberg_zeta_prime_over_zeta(s: complex, spec: SelbergSpec) -> tuple[complex, float]:
     """zeta'/zeta(s) via the explicit formula, and its residual.
 
-    The residual compares against the direct Cauchy-circle derivative of the
-    tracked logarithm, a fully independent evaluation path.
+    -sum Lambda_x(n) n^-s + sum_z m_z K(s, z) / log x. The residual compares
+    against the direct Cauchy-circle derivative of the tracked logarithm, a
+    fully independent evaluation path.
     """
     s = complex(s)
     spec.check_coverage(s.imag)
     x = spec.x
-    lx = math.log(x)
-    limit = int(x * x)
-    lam = _von_mangoldt_cached(limit)
-    n = np.arange(2, limit + 1, dtype=float)
-    w = lam[2 : limit + 1].copy()
-    taper = n >= x
-    w[taper] *= np.log(x * x / n[taper]) / lx
-    t_sum = -np.sum(w * n ** (-s))
-    t_pole = (x ** (2.0 * (1.0 - s)) - x ** (1.0 - s)) / ((1.0 - s) ** 2 * lx)
-    q = np.arange(1, spec.trivial_cutoff(s.real) + 1, dtype=float)
-    t_trivial = np.sum(
-        (x ** (-2.0 * q - s) - x ** (-2.0 * (2.0 * q + s))) / (2.0 * q + s) ** 2
-    ) / lx
-    rho = _all_rho(spec)
-    t_zeros = np.sum(
-        (x ** (rho - s) - x ** (2.0 * (rho - s))) / (s - rho) ** 2
-    ) / lx
-    value = complex(t_sum + t_pole + t_trivial + t_zeros)
-    direct = log_zeta_deriv(1, s.real, s.imag)
+    n, _, w = _damped_weights(x, int(x * x))
+    z, m = spec.singularities(s.real)
+    value = complex(-np.sum(w * n ** (-s)) + np.sum(m * _kernel(s, z, x)) / math.log(x))
+    direct = log_zeta_derivs(1, s.real, s.imag)[0][1]
     return value, abs(value - direct)
 
 
 def _f_kernel(s: complex, z: np.ndarray, x: float) -> np.ndarray:
-    """F(s, z) = integral from s+10 to s of (x^(z-w) - x^(2(z-w)))/(w-z)^2 dw.
+    """F(s, z) = integral from s+10 to s of K(w, z) dw.
 
     Straight horizontal segment, parameterised w = s + u with u from 10 down
     to 0; the integrand decays like x^(-u), so panels concentrate near u = 0.
@@ -727,54 +716,31 @@ def _f_kernel(s: complex, z: np.ndarray, x: float) -> np.ndarray:
     z = np.atleast_1d(np.asarray(z, dtype=complex))
     xs, ws = np.polynomial.legendre.leggauss(24)
     edges = np.array([0.0, 0.2, 0.45, 0.8, 1.4, 2.4, 4.0, 6.5, 10.0])
-    lx = math.log(x)
     out = np.zeros(z.shape, dtype=complex)
     for a, b in zip(edges[:-1], edges[1:]):
         mid, half = 0.5 * (a + b), 0.5 * (b - a)
-        u = mid + half * xs  # (24,)
-        d = z[:, None] - (s + u[None, :])  # z - w
-        vals = (np.exp(d * lx) - np.exp(2.0 * d * lx)) / d**2
-        out += -half * np.sum(ws[None, :] * vals, axis=1)  # minus: path runs s+10 -> s
+        vals = _kernel(s + mid + half * xs, z[:, None], x)
+        out += -half * np.sum(ws * vals, axis=1)  # minus: path runs s+10 -> s
     return out
 
 
 def selberg_log_zeta(s: complex, spec: SelbergSpec) -> complex:
     """log zeta(s) via the integrated explicit formula.
 
-    The prime-power main term runs to x^2 with the damped weight; the
-    correction sum at s + 10 is truncated where its terms drop below 1e-18,
-    which the +10 shift makes immediate. Branch matches the horizontal
-    tracking convention because the formula integrates zeta'/zeta from s+10.
+    sum Lambda_x(n) n^-s / log n + sum (Lambda - Lambda_x)(n) n^-(s+10) / log n
+    + sum_z m_z F(s, z) / log x: the first sum ends at x^2, and the second,
+    log zeta(s+10) less the damped part, at 2x^2 + 10, where the +10 shift
+    has made its terms negligible. Branch matches the horizontal tracking
+    convention because the formula integrates zeta'/zeta from s+10.
     """
     s = complex(s)
     spec.check_coverage(s.imag)
     x = spec.x
-    lx = math.log(x)
-    limit = int(x * x)
-    lam = _von_mangoldt_cached(limit)
-    n = np.arange(2, limit + 1, dtype=float)
-    logn = np.log(n)
-    w = lam[2 : limit + 1].copy()
-    taper = n >= x
-    w[taper] *= np.log(x * x / n[taper]) / lx
-    t_main = np.sum(w * n ** (-s) / logn)
-    # (Lambda - Lambda_x)/(n^(s+10) log n): taper complement on [x, x^2], full above
-    cap = max(int(2 * x * x) + 10, limit + 10)
-    lam2 = _von_mangoldt_cached(cap)
-    n2 = np.arange(2, cap + 1, dtype=float)
-    w2 = lam2[2 : cap + 1].copy()
-    inside = (n2 >= x) & (n2 <= x * x)
-    w2[n2 < x] = 0.0
-    w2[inside] *= np.log(n2[inside] / x) / lx
-    t_corr = np.sum(w2 * n2 ** (-(s + 10.0)) / np.log(n2))
-    t_pole = -_f_kernel(s, np.array([1.0 + 0j]), x)[0] / lx
-    rho = _all_rho(spec)
-    t_zeros = np.sum(_f_kernel(s, rho, x)) / lx
-    q = np.arange(1, spec.trivial_cutoff(s.real) + 64, dtype=float)
-    zq = -2.0 * q
-    zq = zq[x ** (zq - s.real) > 1e-20]  # F(s, z) decays like x^(Re z - sigma)
-    t_trivial = np.sum(_f_kernel(s, zq.astype(complex), x)) / lx if zq.size else 0.0
-    return complex(t_main + t_corr + t_pole + t_zeros + t_trivial)
+    n, lam, w = _damped_weights(x, int(2 * x * x) + 10)
+    log_n = np.log(n)
+    primes = np.sum(w * n ** (-s) / log_n) + np.sum((lam - w) * n ** (-(s + 10.0)) / log_n)
+    z, m = spec.singularities(s.real)
+    return complex(primes + np.sum(m * _f_kernel(s, z, x)) / math.log(x))
 
 
 # ----------------------------------------------------------------------

@@ -7,6 +7,7 @@ from zetascope.cli import (
     EXIT_INVALID,
     EXIT_NO_RESULT,
     EXIT_OK,
+    build_parser,
     main,
     parse_complex,
 )
@@ -47,11 +48,26 @@ def test_unknown_flag_exits_2(capsys):
     assert exc.value.code == 2
 
 
-@pytest.mark.parametrize("argv", [["zeros", "--format", "csv"], ["mollifier", "--q", "3", "--threads", "2"]])
+@pytest.mark.parametrize("argv", [
+    ["zeros", "--format", "csv"],
+    ["mollifier", "--q", "3", "--threads", "2"],
+    ["solve-omega", "--n", "1", "--sigma0", "0.75", "--targets", "1.0", "--eps", "0.1"],
+    ["calibrate", "--n", "1", "--sigma0", "0.75", "--targets", "1.0", "--eps", "0.1"],
+])
 def test_options_only_where_read(argv):
     with pytest.raises(SystemExit) as exc:
         main(argv)
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("targets, want", [
+    (["--targets=0.139-1.132j", "-0.2296+2.0802j"], ["0.139-1.132j", "-0.2296+2.0802j"]),
+    (["--targets", "1", "-2"], ["1", "-2"]),
+])
+def test_negative_targets_are_values(targets, want):
+    for cmd in (["scan", "--t", "2000", "--h", "20"], ["solve-omega"], ["calibrate"]):
+        args = build_parser().parse_args(cmd + ["--sigma0", "0.75", *targets, "--eps", "0.1"])
+        assert args.targets == want
 
 
 def test_zeta_eval_record(capsys):

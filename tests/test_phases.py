@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from zetascope.phases import (
     LogDerivSpec,
     PhaseAssignment,
+    _tail_bound,
     alternating_phases,
     default_ell_max,
     log_euler_deriv,
@@ -131,14 +132,18 @@ def test_tail_bound_is_honest():
 
 
 def test_default_ell_max_controls_tail():
-    ps = primes_up_to(1000).primes.tolist()
+    """The default depth is the first whose rigorous tail bound is below tol,
+    and the value at that depth is within its reported bound of a deep sum."""
+    table = primes_up_to(1000)
+    ps = table.primes.astype(float)
+    theta = alternating_phases(table)
     for k in (0, 2):
         ell = default_ell_max(ps, k, 0.6, tol=1e-14)
-        est = (
-            2.0 ** (-ell * 0.6) * len(ps) * (ell * math.log(max(ps))) ** k
-            / (1 - 2.0 ** (-0.6))
-        )
-        assert est < 1e-14
+        assert _tail_bound(ps, k, 0.6, ell) < 1e-14
+        assert not _tail_bound(ps, k, 0.6, ell - 1) < 1e-14
+        value, bound = log_euler_deriv(table.primes, LogDerivSpec(k, 0.6, tol=1e-14), theta)
+        deep, _ = log_euler_deriv(table.primes, LogDerivSpec(k, 0.6, ell_max=400), theta)
+        assert abs(value - deep) <= bound
 
 
 def test_log_vs_linear_proxy_bound():

@@ -1,5 +1,5 @@
-"""Every exported name resolves, removed modules stay removed, no import is
-unused, and the benchmark's traced run still finds what it wraps."""
+"""Every exported name resolves, removed modules and names stay removed, no
+import is unused, and the benchmark's traced run still finds what it wraps."""
 
 import ast
 import importlib
@@ -24,6 +24,17 @@ def test_all_names_resolve(name):
 def test_quadrature_module_is_gone():
     with pytest.raises(ImportError):
         importlib.import_module("zetascope.quadrature")
+
+
+def test_removed_names_stay_removed():
+    """log_zeta_derivs(k, ...)[0][k] replaced log_zeta_deriv; SelbergSpec.q_max had no reader."""
+    from dataclasses import fields
+
+    from zetascope import zeta_engine
+
+    assert not hasattr(zetascope, "log_zeta_deriv")
+    assert not hasattr(zeta_engine, "log_zeta_deriv")
+    assert "q_max" not in {f.name for f in fields(zeta_engine.SelbergSpec)}
 
 
 SOURCES = sorted(p for p in Path(zetascope.__file__).parent.glob("*.py") if p.name != "__init__.py")

@@ -11,13 +11,14 @@ from zetascope.errors import (
     ToleranceUnreachableError,
 )
 from zetascope.zeta_engine import (
+    SelbergSpec,
     chi_factor,
     count_zeros,
     hardy_z,
-    log_zeta_deriv,
     log_zeta_derivs,
     log_zeta_tracked,
     riemann_count_estimate,
+    selberg_zeta_prime_over_zeta,
     weighted_von_mangoldt,
     zero_density_envelope,
     zero_ordinates,
@@ -97,7 +98,7 @@ def test_imaginary_part_continuous_along_t():
 
 def test_log_zeta_deriv_k0_matches_tracked():
     for (sig, t) in ((0.75, 50.0), (0.8, 1000.0)):
-        d0 = log_zeta_deriv(0, sig, t)
+        d0 = log_zeta_derivs(0, sig, t)[0][0]
         assert d0 == pytest.approx(log_zeta_tracked(sig, t), abs=1e-8)
 
 
@@ -117,7 +118,7 @@ def test_log_zeta_deriv_vs_finite_difference():
     sig, t = 0.8, 200.0
     h = 1e-3
     for k in (1, 2, 3, 4):
-        dk = log_zeta_deriv(k, sig, t)
+        dk = log_zeta_derivs(k, sig, t)[0][k]
         up = log_zeta_derivs(k - 1, sig + h, t)[0][k - 1]
         dn = log_zeta_derivs(k - 1, sig - h, t)[0][k - 1]
         fd = (up - dn) / (2.0 * h)
@@ -294,3 +295,13 @@ def test_line_continuation_sees_a_zero_right_of_the_line():
 
     with pytest.raises(PathThroughZeroError, match="right of the line"):
         _log_zeta_line_derivs(1, 0.4, np.array([14.0, 14.3]))
+
+
+@pytest.mark.parametrize("s", [2.0 + 50.0j, 1.5 + 30.3j, 0.8 + 1000.0j])
+def test_selberg_residual_bounds_true_error(s, zeros_to_1060):
+    """The explicit formula's reported residual measures its true error
+    against mpmath zeta'/zeta at 30 digits."""
+    value, residual = selberg_zeta_prime_over_zeta(s, SelbergSpec(x=40.0, zeros=zeros_to_1060))
+    with mp.workdps(30):
+        ref = complex(mp.zeta(mp.mpc(s), derivative=1) / mp.zeta(mp.mpc(s)))
+    assert abs(value - ref) <= residual + 1e-9
