@@ -3,14 +3,17 @@ derivatives, Selberg's explicit formula, and rectangle zero counting.
 
 The evaluator is Euler-Maclaurin with a truncation point scaling linearly in
 |Im s| and a Bernoulli correction series whose terms shrink geometrically
-once the truncation point passes |Im s| / (2 pi). `_em_eval` sums either
-point by point or, for circle nodes c_j + z_m, separably: one matrix product
-of n^-c_j and n^-z_m per block of n; both share one tail, `_em_tail`. One
-core, `_zeta_eval`, holds the truncation and retry policy of the certified
-`zeta` and `zeta_array`; its pole and envelope checks and starting
-truncation point (`_truncation`) also serve the circles. All Cauchy-circle
-Taylor data (here and in `universality.taylor_coeffs`) comes from one
-node-doubling kernel over a batch of centres, `_circle_derivs`:
+once the truncation point passes |Im s| / (2 pi). `_em_eval` has one main
+sum, over points c_j + z_m: a matrix product of n^-c_j and n^-z_m per block
+of n, then the tail `_em_tail`. Circle nodes are centres plus node offsets;
+an evenly spaced input is ceil(L / M) centres plus M = ceil(sqrt L) steps,
+so about 2 sqrt(L) exponentials per n serve L points; any other input is its
+own centres with the one offset 0. One core, `_zeta_eval`, holds the
+truncation and retry policy of the certified `zeta` and `zeta_array`; its
+pole and envelope checks and starting truncation point (`_truncation`) also
+serve the circles. All Cauchy-circle Taylor data (here and in
+`universality.taylor_coeffs`) comes from one node-doubling kernel over a
+batch of centres, `_circle_derivs`:
 `zeta_derivs` runs it on one centre and the scan on a chunk of grid points.
 
 Branch convention: log zeta is the principal branch on the real segment
@@ -87,39 +90,26 @@ class ZetaEval:
 
 
 def _em_eval(s: np.ndarray, n_trunc: int, n_bern: int, offsets: np.ndarray | None = None):
-    """Euler-Maclaurin at all points of s with fixed truncation settings.
+    """Euler-Maclaurin at every s_j + z_m with fixed truncation settings.
 
-    Given offsets z, it evaluates at every s_j + z_m instead, shape
-    (len(s), len(z)): the main sum separates as sum_n n^-s_j n^-z_m, one
+    Returns values and error estimates of shape (len(s), len(z)); offsets
+    None means z = [0]. The main sum separates as sum_n n^-s_j n^-z_m, one
     matrix product per block of n, so (len(s) + len(z)) * n_trunc complex
-    exponentials replace len(s) * len(z) * n_trunc. The factors of a block
-    hold at most 2^18 complex entries (4 MiB); the callers keep
-    len(s) * len(z) under the same bound.
+    exponentials replace len(s) * len(z) * n_trunc. log n is formed per
+    block, and the memory bound is per block, not per call: each factor
+    holds at most max(2^13, len(s), len(z)) complex entries, however long
+    the sum. 2^13 entries are 128 KiB, glibc's default mmap threshold, so
+    the factors come from the heap and are reused rather than mapped and
+    page-faulted afresh for every block.
     """
-    n = np.arange(1, n_trunc, dtype=float)
-    log_n = np.log(n)
-    if offsets is None:
-        vals = np.empty(s.shape, dtype=complex)
-        chunk = max(1, (1 << 22) // n_trunc)
-        # one workspace for every chunk: n^-s is formed in place
-        work = np.empty((min(len(s), chunk), n_trunc - 1), dtype=complex)
-        for i in range(0, len(s), chunk):
-            sl = s[i : i + chunk]
-            w = work[: len(sl)]
-            np.outer(sl, log_n, out=w)
-            np.negative(w, out=w)
-            np.exp(w, out=w)
-            vals[i : i + chunk] = w.sum(axis=1)
-    else:
-        vals = np.zeros((len(s), len(offsets)), dtype=complex)
-        block = max(1, (1 << 18) // max(len(s), len(offsets)))
-        for i in range(0, n_trunc - 1, block):
-            neg = -log_n[i : i + block]
-            left = np.exp(np.outer(s, neg))
-            right = np.exp(np.outer(neg, offsets))
-            vals += left @ right
-        s = s[:, None] + offsets
-    return vals, _em_tail(vals, s, n_trunc, n_bern)
+    z = np.zeros(1) if offsets is None else offsets
+    vals = np.zeros((len(s), len(z)), dtype=complex)
+    block = max(1, (1 << 13) // max(len(s), len(z)))
+    for i in range(1, n_trunc, block):
+        neg = -np.log(np.arange(i, min(i + block, n_trunc), dtype=float))
+        left, right = np.outer(s, neg), np.outer(neg, z)
+        vals += np.exp(left, out=left) @ np.exp(right, out=right)
+    return vals, _em_tail(vals, s[:, None] + z, n_trunc, n_bern)
 
 
 def _em_tail(vals: np.ndarray, s: np.ndarray, n_trunc: int, n_bern: int) -> np.ndarray:
@@ -167,14 +157,37 @@ def _truncation(points: np.ndarray) -> int:
     return int(max(24, (tmax + 60.0) / 3.0 + 8))
 
 
+def _centres_offsets(flat: np.ndarray):
+    """(centres, offsets, index) with flat[i] ~ (centres[:, None] + offsets).flat[index[i]].
+
+    An arithmetic progression of L >= 9 points, each within 4 eps max|s| of
+    it, becomes ceil(L / M) centres times M = ceil(sqrt L) offsets. The last
+    centre is flat[L - M], so every grid point is an input point and no point
+    outside the input is evaluated. Any other input is its own centres with
+    the one offset 0.
+    """
+    size = len(flat)
+    k = np.arange(size)
+    if size >= 9:
+        d = (flat[-1] - flat[0]) / (size - 1)
+        if np.max(np.abs(flat - (flat[0] + d * k))) <= 8.9e-16 * np.max(np.abs(flat)):
+            m = math.isqrt(size - 1) + 1
+            starts = np.minimum(np.arange(0, size, m), size - m)
+            row = k // m
+            return flat[starts], d * np.arange(m), row * m + k - starts[row]
+    return flat, np.zeros(1), k
+
+
 def _zeta_eval(flat: np.ndarray, tol: float):
     """The certified evaluator: (values, error estimates, truncation point) at flat.
 
     Retries with longer sums until every estimate is within tol, and refuses
-    before a pass whose rounding floor already exceeds tol.
+    before a pass whose rounding floor already exceeds tol. An evenly spaced
+    flat is summed as centres times offsets (`_centres_offsets`).
     """
     n_trunc = _truncation(flat)
     n_bern = 30
+    centres, offsets, index = _centres_offsets(flat)
     for _ in range(4):
         floor = float(np.max(_em_floor(flat.real, n_trunc)))
         if floor > tol:
@@ -182,7 +195,7 @@ def _zeta_eval(flat: np.ndarray, tol: float):
                 f"could not certify tolerance {tol:g} (rounding floor {floor:.3g} "
                 f"at {n_trunc} terms)"
             )
-        vals, err = _em_eval(flat, n_trunc, n_bern)
+        vals, err = (a.ravel()[index] for a in _em_eval(centres, n_trunc, n_bern, offsets))
         if float(np.max(err)) <= tol:
             return vals, err, n_trunc
         n_trunc = int(n_trunc * 1.8) + 16

@@ -231,6 +231,94 @@ def test_tolerance_below_rounding_floor_is_refused_up_front(monkeypatch):
     assert passes == []
 
 
+_PROGRESSIONS = {
+    "imag-9-rising": 0.75 + 1j * np.linspace(100.0, 101.6, 9),
+    "imag-41-falling": 0.5 + 1j * np.linspace(1000.0, 994.0, 41),
+    "imag-64-rising": 0.9 + 1j * (500.0 + 0.05 * np.arange(64)),
+    "real-33-rising": np.linspace(2.0, 10.0, 33).astype(complex),
+    "real-41-falling": np.linspace(2.95, -1.05, 41).astype(complex),
+    "complex-64-falling": (1.5 + 300.0j) - (0.01 + 0.2j) * np.arange(64),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_PROGRESSIONS))
+def test_progression_matches_points_one_at_a_time(name):
+    """An evenly spaced input, summed as centres times offsets, gives the
+    values of the same points evaluated one at a time."""
+    s = _PROGRESSIONS[name]
+    vals = zeta_array(s)
+    single = np.array([zeta_array([x])[0] for x in s])
+    assert np.all(np.abs(vals - single) <= 1e-12 * (1.0 + np.abs(single)))
+
+
+def test_progression_at_height_against_mpmath():
+    """Oracle: at 0.9 + 1e5 i the factored sum is as accurate as the
+    one-at-a-time sum (both carry the rounding of the phase t log n)."""
+    s = 0.9 + 1j * (1e5 + 0.05 * np.arange(64))
+    vals = zeta_array(s)
+    picks = np.arange(0, 64, 9)
+    with mp.workdps(30):
+        ref = np.array([complex(mp.zeta(mp.mpc(s[i].real, s[i].imag))) for i in picks])
+    err = np.max(np.abs(vals[picks] - ref))
+    single_err = np.max(np.abs([zeta_array([s[i]])[0] for i in picks] - ref))
+    assert err <= 2.0 * single_err + 1e-13
+
+
+def test_only_progressions_are_factored(monkeypatch):
+    """Only an arithmetic progression reaches _em_eval with more than one offset."""
+    from zetascope import zeta_engine
+
+    em_eval, seen = zeta_engine._em_eval, []
+    monkeypatch.setattr(zeta_engine, "_em_eval",
+                        lambda *a: seen.append(len(a[3])) or em_eval(*a))
+    prog = 0.75 + 1j * (200.0 + 0.1 * np.arange(64))
+    moved = prog.copy()
+    moved[17] += 1e-7j
+    cases = [
+        (prog, 8),
+        (np.random.default_rng(3).permutation(prog), 1),
+        (moved, 1),
+        (0.75 + 200.0j + 0.25 * np.exp(2j * math.pi * np.arange(64) / 64), 1),
+        (prog[:8], 1),
+    ]
+    for s, offsets in cases:
+        seen.clear()
+        zeta_array(s)
+        assert set(seen) == {offsets}
+
+
+@pytest.mark.filterwarnings("error")
+def test_progression_near_the_pole():
+    """The factored grid holds input points only: a progression whose next
+    point would be s = 1 evaluates without a division by zero, and one that
+    contains s = 1 is refused."""
+    s = np.linspace(0.979, 0.999, 21).astype(complex)
+    vals = zeta_array(s)
+    single = np.array([zeta_array([x])[0] for x in s])
+    assert np.all(np.abs(vals - single) <= 1e-12 * (1.0 + np.abs(single)))
+    with pytest.raises(PoleAtOneError):
+        zeta_array(np.linspace(0.9, 1.1, 21))
+
+
+@pytest.mark.parametrize("s", [
+    0.9 + 1e5j + 0.25 * np.exp(2j * math.pi * np.arange(64) / 64),
+    np.array([0.9 + 1e7j]),
+], ids=["circle-nodes-1e5", "one-point-1e7"])
+def test_evaluator_memory_is_bounded_per_block(s):
+    """No zeta_array temporary grows with the length of the sum: the peak
+    traced allocation stays under 24 MiB at 33k and at 3.3M terms."""
+    import tracemalloc
+
+    zeta_array([2.0])  # the Bernoulli table is built once, outside the trace
+    tracemalloc.start()
+    try:
+        zeta_array(s)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 24 * 2**20
+
+
 def test_log_zeta_derivs_returns_when_rounds_run_out():
     """Near the critical line at height the node doubling ends unsettled:
     the last round is returned with its change as the error, not raised."""
