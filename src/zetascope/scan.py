@@ -5,13 +5,15 @@ objective by mode: log-zeta derivatives (the Omega-result) or plain zeta
 derivatives (the Taylor data of weak universality); `scan_log_derivs` and
 `scan_zeta_derivs` name its two modes. The scan grid is finer than the
 fastest Euler-product oscillation in the window. Every objective takes an
-array of shifts: the grid goes to it in fixed chunks, whose circle nodes
-are evaluated in one batch, and the log mode gets log zeta itself by
-continuation along the scan line. Grid dips are then polished by nested
-local refinement, one objective call per level, and every reported hit is
-re-verified point by point at doubled quadrature order. Candidate
-selection keeps a first-order safety margin so a sharp minimum sitting
-between grid points is still caught.
+array of shifts of any shape: the grid goes to it in fixed chunks, whose
+circle nodes are evaluated in one batch (64 points; 4096 for the value
+mode, one zeta target, whose chunk is one progression for the factored
+main sum), and the log mode gets log zeta itself by continuation along the
+scan line. Grid dips are then polished by nested local refinement of all
+candidates in lockstep, one objective call per level, and every refined
+candidate is re-verified at doubled quadrature order in one more call.
+Candidate selection keeps a first-order safety margin so a sharp minimum
+sitting between grid points is still caught.
 """
 
 from __future__ import annotations
@@ -44,7 +46,9 @@ __all__ = [
 
 MAX_ORDER_LOG = 8    # factorial noise amplification past this defeats eps
 MAX_ORDER_ZETA = 12  # larger circles allowed for the plain-zeta scan
-_CHUNK = 64  # grid points per objective call: one batch shape, whatever the thread count
+# grid points per objective call: one batch shape, whatever the thread count
+_CHUNK = 64  # circle modes
+_VALUE_CHUNK = 4096  # value mode: 64 centres x 64 offsets in the factored main sum
 
 
 @dataclass(frozen=True)
@@ -82,6 +86,8 @@ class ScanWindow:
 
 @dataclass(frozen=True)
 class Hit:
+    """A verified shift; wall_time is that of the scan's whole refine-and-verify batch."""
+
     tau: float
     residuals: tuple
     refined: bool
@@ -114,46 +120,72 @@ class ScanResult:
     wall_time: float = 0.0
 
 
+def _refine_all(taus0, objective, radius: float):
+    """Nested local minimisation of an objective around every tau0, in lockstep.
+
+    objective maps an array of shifts of any shape to their values in ravel
+    order. It is called once on the starting points, then per level once on
+    a (K, 21) array, whose rows are progressions with the level's common
+    step, and once on all vertex candidates: at most 7 calls for any number
+    K of starting points. Three grid levels shrink by a factor 10, each
+    followed by a vertex fit that handles both smooth (parabolic) and kinked
+    (V-shaped) minima; the fit needs a finite bracketing triple. A level
+    grid slides inside [tau0 - radius, tau0 + radius] rather than being
+    clipped, and no search leaves that interval. Returns (best shifts, their
+    values), one per starting point; the first of equal values is kept.
+    """
+    taus0 = np.asarray(taus0, dtype=float)
+    lo, hi = taus0 - radius, taus0 + radius
+    best_t = taus0.copy()
+    best_v = np.asarray(objective(taus0), dtype=float).reshape(taus0.shape)
+    rows = np.arange(len(taus0))
+    r = radius
+    for _ in range(3):
+        mid = taus0 + np.clip(best_t - taus0, r - radius, radius - r)
+        # the clip only catches rounding at the interval's ends
+        ts = np.clip(np.linspace(mid - r, mid + r, 21, axis=-1), lo[:, None], hi[:, None])
+        vs = np.asarray(objective(ts), dtype=float).reshape(ts.shape)
+        i = np.argmin(vs, axis=1)
+        better = vs[rows, i] < best_v
+        best_t[better], best_v[better] = ts[better, i[better]], vs[better, i[better]]
+        r /= 10.0
+        # vertex candidates from the bracketing triple of each interior minimum
+        k = rows[(0 < i) & (i < 20)]
+        cols = i[k, None] + np.arange(-1, 2)
+        finite = np.all(np.isfinite(vs[k[:, None], cols]), axis=1)
+        k, cols = k[finite], cols[finite]
+        (t1, t2, t3), (v1, v2, v3) = ts[k[:, None], cols].T, vs[k[:, None], cols].T
+        denom = v1 - 2.0 * v2 + v3
+        slope = np.maximum(np.abs(v2 - v1), np.abs(v3 - v2)) / np.maximum(t2 - t1, 1e-300)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            t_par = t2 + 0.5 * (t3 - t2) * (v1 - v3) / denom
+            t_v = 0.5 * (t1 + t3) + (v1 - v3) / (2.0 * slope)
+        par, vee = denom > 0, slope > 0
+        owner = np.concatenate([k[par], k[vee]])
+        if not owner.size:
+            continue
+        cts = np.clip(np.concatenate([t_par[par], t_v[vee]]), lo[owner], hi[owner])
+        cvs = np.asarray(objective(cts), dtype=float)
+        # parabolic candidates first, then V-shaped: each owner once per group
+        n_par = int(np.sum(par))
+        for group in (slice(None, n_par), slice(n_par, None)):
+            o, t, v = owner[group], cts[group], cvs[group]
+            better = v < best_v[o]
+            best_t[o[better]], best_v[o[better]] = t[better], v[better]
+    return best_t, best_v
+
+
 def refine_hit(tau0: float, objective, radius: float) -> Hit:
     """Nested local minimisation of an objective around tau0.
 
-    objective maps an array of shifts to an array of values, one call per
+    objective maps a 1-D array of shifts to an array of values, one call per
     batch: tau0 itself, then per level its 21 grid points and its vertex
-    candidates. Three grid levels shrink by a factor 10, each followed by a
-    vertex fit that handles both smooth (parabolic) and kinked (V-shaped)
-    minima; the fit needs a finite bracketing triple. The search never
-    leaves [tau0 - radius, tau0 + radius].
+    candidates. This is `_refine_all` on one starting point: three grid
+    levels shrinking by a factor 10, each followed by a vertex fit; the
+    search never leaves [tau0 - radius, tau0 + radius].
     """
-    lo, hi = tau0 - radius, tau0 + radius
-    best_t, best_v = tau0, float(objective(np.array([tau0]))[0])
-    r = radius
-    for _ in range(3):
-        ts = np.clip(np.linspace(best_t - r, best_t + r, 21), lo, hi)
-        vs = np.asarray(objective(ts), dtype=float)
-        i = int(np.argmin(vs))
-        if vs[i] < best_v:
-            best_t, best_v = float(ts[i]), float(vs[i])
-        r /= 10.0
-        if 0 < i < len(ts) - 1 and np.all(np.isfinite(vs[i - 1 : i + 2])):
-            # vertex candidates from the bracketing triple
-            t1, t2, t3 = ts[i - 1], ts[i], ts[i + 1]
-            v1, v2, v3 = vs[i - 1], vs[i], vs[i + 1]
-            denom = (v1 - 2.0 * v2 + v3)
-            if denom > 0:
-                t_par = t2 + 0.5 * (t3 - t2) * (v1 - v3) / denom
-                cand = [t_par]
-            else:
-                cand = []
-            slope = max(abs(v2 - v1), abs(v3 - v2)) / max(t2 - t1, 1e-300)
-            if slope > 0:
-                t_v = 0.5 * (t1 + t3) + (v1 - v3) / (2.0 * slope)
-                cand.append(t_v)
-            if cand:
-                cts = np.clip(np.array(cand, dtype=float), lo, hi)
-                for t, v in zip(cts, np.asarray(objective(cts), dtype=float)):
-                    if v < best_v:
-                        best_t, best_v = float(t), float(v)
-    return Hit(tau=best_t, residuals=(best_v,), refined=True)
+    t, v = _refine_all([tau0], lambda ts: objective(np.ravel(ts)), radius)
+    return Hit(tau=float(t[0]), residuals=(float(v[0]),), refined=True)
 
 
 def _candidate_indices(vals: np.ndarray, eps: float) -> list:
@@ -175,20 +207,22 @@ def _candidate_indices(vals: np.ndarray, eps: float) -> list:
 
 
 def _run_scan(objective, grid: np.ndarray, window: ScanWindow, sigma0: float,
-              mode: str, threads: int) -> ScanResult:
+              mode: str, threads: int, chunk: int = _CHUNK) -> ScanResult:
     """Shared driver: evaluate the grid, refine candidates, verify hits.
 
     objective(taus, verify) returns (residuals, reasons) at an array of
-    shifts: residuals[i] = |derivs - targets| at taus[i], a row of inf where
-    the shift could not be evaluated, and reasons maps those rows to why.
-    verify=True asks for the final verdict at doubled quadrature order. The
-    grid goes to the objective in chunks of _CHUNK points, shared over
-    `threads` workers; the chunks do not depend on the thread count, so
-    neither do the hits.
+    shifts of any shape: residuals[i] = |derivs - targets| at the i-th shift
+    in ravel order, a row of inf where the shift could not be evaluated, and
+    reasons maps those rows to why. verify=True asks for the final verdict
+    at doubled quadrature order. The grid goes to the objective in chunks of
+    `chunk` points, shared over `threads` workers; the chunks do not depend
+    on the thread count, so neither do the hits. All candidates are refined
+    together (`_refine_all`) and verified in one call; each hit's wall_time
+    is the time of that whole refine-and-verify batch.
     """
     t_start = time.monotonic()
-    starts = range(0, len(grid), _CHUNK)
-    eval_chunk = lambda a: objective(grid[a : a + _CHUNK], verify=False)
+    starts = range(0, len(grid), chunk)
+    eval_chunk = lambda a: objective(grid[a : a + chunk], verify=False)
     if threads == 1:
         # in this thread: a worker thread gets its own malloc arena,
         # about 4 MiB more peak RSS on a single-threaded scan
@@ -207,23 +241,19 @@ def _run_scan(objective, grid: np.ndarray, window: ScanWindow, sigma0: float,
         return np.max(objective(taus, verify=False)[0], axis=1)
 
     hits = []
-    for i in _candidate_indices(vals, window.eps):
+    candidates = _candidate_indices(vals, window.eps)
+    if candidates:
         t0 = time.monotonic()
-        refined = refine_hit(float(grid[i]), max_residual, window.step)
+        refined, _ = _refine_all(grid[candidates], max_residual, window.step)
         # fresh evaluation at doubled quadrature order for the final verdict
-        residuals, why = objective(np.array([refined.tau]), verify=True)
-        if why:
-            skipped.append({"tau": refined.tau, "reason": why[0]})
-            continue
-        if float(np.max(residuals)) < window.eps:
-            hits.append(
-                Hit(
-                    tau=refined.tau,
-                    residuals=tuple(float(r) for r in residuals[0]),
-                    refined=True,
-                    wall_time=time.monotonic() - t0,
-                )
-            )
+        residuals, why = objective(refined, verify=True)
+        batch_time = time.monotonic() - t0
+        for i, tau in enumerate(refined.tolist()):
+            if i in why:
+                skipped.append({"tau": tau, "reason": why[i]})
+            elif float(np.max(residuals[i])) < window.eps:
+                hits.append(Hit(tau=tau, residuals=tuple(residuals[i].tolist()), refined=True,
+                                wall_time=batch_time))
     # adjacent grid dips can land on the same minimum; keep the first
     deduped = []
     for h in sorted(hits, key=lambda h: h.tau):
@@ -246,11 +276,13 @@ def scan_derivs(targets, sigma0: float, window: ScanWindow, *, mode: str = "log"
     circles, batched over each chunk of shifts (the log mode takes the
     circles of zeta and continues log zeta along the line), except for a
     single zeta target, whose residual |zeta - targets[0]| needs only
-    `zeta_array`. A log-mode chunk whose continuation fails goes point by
-    point through `log_zeta_derivs`; points where its circle meets a zero
-    are skipped and recorded. Hits are verified point by point. The zeta
-    mode needs a nonzero constant target (a zero one would ask the scan to
-    find a zeta zero off the critical line).
+    `zeta_array`. The circles of a zeta-mode batch share one radius, the
+    smallest over the batch (1.5 at every height above 4). A log-mode
+    chunk whose continuation fails goes point by point through
+    `log_zeta_derivs`; points where its circle meets a zero are skipped and
+    recorded. Hits are verified together, the log mode's point by point.
+    The zeta mode needs a nonzero constant target (a zero one would ask the
+    scan to find a zeta zero off the critical line).
     """
     if mode not in ("log", "zeta"):
         raise ValueError(f"unknown scan mode {mode!r}; use 'log' or 'zeta'")
@@ -268,6 +300,7 @@ def scan_derivs(targets, sigma0: float, window: ScanWindow, *, mode: str = "log"
     if threads < 1:
         raise ValueError("threads must be at least 1")
 
+    chunk = _CHUNK
     if mode == "log":
         def per_point(taus, nodes):
             resid, reasons = np.full((len(taus), n), math.inf), {}
@@ -280,6 +313,7 @@ def scan_derivs(targets, sigma0: float, window: ScanWindow, *, mode: str = "log"
             return resid, reasons
 
         def objective(taus, verify=False):
+            taus = np.ravel(taus)
             if not verify:
                 try:
                     return np.abs(_log_zeta_line_derivs(n - 1, sigma0, taus)[0] - b), {}
@@ -288,17 +322,19 @@ def scan_derivs(targets, sigma0: float, window: ScanWindow, *, mode: str = "log"
             return per_point(taus, 128 if verify else 64)
     elif n > 1:
         def objective(taus, verify=False):
-            centres = sigma0 + 1j * taus
+            centres = sigma0 + 1j * np.ravel(taus)
             radius = min(1.5, 0.5 * float(np.min(np.abs(centres - 1.0))))
             derivs = _zeta_circles(centres, radius, n - 1, 256 if verify else 128, 1e-9)[0]
             return np.abs(derivs - b), {}
     else:
-        # the 0th circle coefficient is the value itself: no circle needed
+        # the 0th circle coefficient is the value itself: no circle needed;
+        # the shape of taus reaches zeta_array, which factors rows of progressions
         def objective(taus, verify=False):
-            s = sigma0 + 1j * taus
-            return np.abs(zeta_array(s, tol=1e-13 if verify else 1e-11) - b[0])[:, None], {}
+            s = sigma0 + 1j * np.asarray(taus)
+            return np.abs(zeta_array(s, tol=1e-13 if verify else 1e-11) - b[0]).reshape(-1, 1), {}
+        chunk = _VALUE_CHUNK
 
-    return _run_scan(objective, window.grid(), window, sigma0, mode, threads)
+    return _run_scan(objective, window.grid(), window, sigma0, mode, threads, chunk)
 
 
 def scan_log_derivs(targets, sigma0: float, window: ScanWindow, *,

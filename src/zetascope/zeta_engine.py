@@ -5,10 +5,12 @@ The evaluator is Euler-Maclaurin with a truncation point scaling linearly in
 |Im s| and a Bernoulli correction series whose terms shrink geometrically
 once the truncation point passes |Im s| / (2 pi). `_em_eval` has one main
 sum, over points c_j + z_m: a matrix product of n^-c_j and n^-z_m per block
-of n, then the tail `_em_tail`. Circle nodes are centres plus node offsets;
-an evenly spaced input is ceil(L / M) centres plus M = ceil(sqrt L) steps,
-so about 2 sqrt(L) exponentials per n serve L points; any other input is its
-own centres with the one offset 0. One core, `_zeta_eval`, holds the
+of n, then the tail `_em_tail`; with one offset it is a row sum. Circle
+nodes are centres plus node offsets; an evenly spaced input is ceil(L / M)
+centres plus M = ceil(sqrt L) steps, so about 2 sqrt(L) exponentials per n
+serve L points, and K rows of L points, each a progression with one common
+step, are K ceil(L / M) centres plus the same M steps; any other input is
+its own centres with the one offset 0. One core, `_zeta_eval`, holds the
 truncation and retry policy of the certified `zeta` and `zeta_array`; its
 pole and envelope checks and starting truncation point (`_truncation`) also
 serve the circles. All Cauchy-circle Taylor data (here and in
@@ -95,20 +97,26 @@ def _em_eval(s: np.ndarray, n_trunc: int, n_bern: int, offsets: np.ndarray | Non
     Returns values and error estimates of shape (len(s), len(z)); offsets
     None means z = [0]. The main sum separates as sum_n n^-s_j n^-z_m, one
     matrix product per block of n, so (len(s) + len(z)) * n_trunc complex
-    exponentials replace len(s) * len(z) * n_trunc. log n is formed per
-    block, and the memory bound is per block, not per call: each factor
-    holds at most max(2^13, len(s), len(z)) complex entries, however long
-    the sum. 2^13 entries are 128 KiB, glibc's default mmap threshold, so
-    the factors come from the heap and are reused rather than mapped and
-    page-faulted afresh for every block.
+    exponentials replace len(s) * len(z) * n_trunc. With one offset the
+    product would multiply by a column of ones on BLAS's own threads, so it
+    is a row sum of n^-(s_j + z_0) instead. log n is formed per block, and
+    the memory bound is per block, not per call: each factor holds at most
+    max(2^13, len(s), len(z)) complex entries, however long the sum. 2^13
+    entries are 128 KiB, glibc's default mmap threshold, so the factors come
+    from the heap and are reused rather than mapped and page-faulted afresh
+    for every block.
     """
     z = np.zeros(1) if offsets is None else offsets
     vals = np.zeros((len(s), len(z)), dtype=complex)
     block = max(1, (1 << 13) // max(len(s), len(z)))
     for i in range(1, n_trunc, block):
         neg = -np.log(np.arange(i, min(i + block, n_trunc), dtype=float))
-        left, right = np.outer(s, neg), np.outer(neg, z)
-        vals += np.exp(left, out=left) @ np.exp(right, out=right)
+        if len(z) == 1:
+            left = np.outer(s + z[0], neg)
+            vals[:, 0] += np.exp(left, out=left).sum(axis=1)
+        else:
+            left, right = np.outer(s, neg), np.outer(neg, z)
+            vals += np.exp(left, out=left) @ np.exp(right, out=right)
     return vals, _em_tail(vals, s[:, None] + z, n_trunc, n_bern)
 
 
@@ -157,37 +165,45 @@ def _truncation(points: np.ndarray) -> int:
     return int(max(24, (tmax + 60.0) / 3.0 + 8))
 
 
-def _centres_offsets(flat: np.ndarray):
-    """(centres, offsets, index) with flat[i] ~ (centres[:, None] + offsets).flat[index[i]].
+def _centres_offsets(s: np.ndarray):
+    """(centres, offsets, index) with s.flat[i] ~ (centres[:, None] + offsets).flat[index[i]].
 
-    An arithmetic progression of L >= 9 points, each within 4 eps max|s| of
-    it, becomes ceil(L / M) centres times M = ceil(sqrt L) offsets. The last
-    centre is flat[L - M], so every grid point is an input point and no point
-    outside the input is evaluated. Any other input is its own centres with
-    the one offset 0.
+    A (K, L) array whose rows are arithmetic progressions with one common
+    step, L >= 9 and each point within 4 eps max|s| of its row's progression,
+    becomes K ceil(L / M) centres times M = ceil(sqrt L) offsets; a 1-D array
+    is one such row. The last centre of a row is its point L - M, so every
+    grid point is an input point and no point outside the input is
+    evaluated. Any other input is its own centres with the one offset 0.
     """
-    size = len(flat)
+    flat = s.ravel()
+    rows = s if s.ndim == 2 else flat[None, :]
+    count, size = rows.shape
     k = np.arange(size)
     if size >= 9:
-        d = (flat[-1] - flat[0]) / (size - 1)
-        if np.max(np.abs(flat - (flat[0] + d * k))) <= 8.9e-16 * np.max(np.abs(flat)):
+        d = (rows[0, -1] - rows[0, 0]) / (size - 1)
+        if np.max(np.abs(rows - (rows[:, :1] + d * k))) <= 8.9e-16 * np.max(np.abs(flat)):
             m = math.isqrt(size - 1) + 1
             starts = np.minimum(np.arange(0, size, m), size - m)
             row = k // m
-            return flat[starts], d * np.arange(m), row * m + k - starts[row]
-    return flat, np.zeros(1), k
+            local = row * m + k - starts[row]
+            index = (len(starts) * m * np.arange(count)[:, None] + local).ravel()
+            return rows[:, starts].ravel(), d * np.arange(m), index
+    return flat, np.zeros(1), np.arange(flat.size)
 
 
-def _zeta_eval(flat: np.ndarray, tol: float):
-    """The certified evaluator: (values, error estimates, truncation point) at flat.
+def _zeta_eval(s: np.ndarray, tol: float):
+    """The certified evaluator: (values, error estimates, truncation point) at s.
 
-    Retries with longer sums until every estimate is within tol, and refuses
-    before a pass whose rounding floor already exceeds tol. An evenly spaced
-    flat is summed as centres times offsets (`_centres_offsets`).
+    Values and estimates are flat, in the order of s.ravel(). Retries with
+    longer sums until every estimate is within tol, and refuses before a
+    pass whose rounding floor already exceeds tol. An evenly spaced s, or
+    rows of progressions with one common step, is summed as centres times
+    offsets (`_centres_offsets`).
     """
+    flat = s.ravel()
     n_trunc = _truncation(flat)
     n_bern = 30
-    centres, offsets, index = _centres_offsets(flat)
+    centres, offsets, index = _centres_offsets(s)
     for _ in range(4):
         floor = float(np.max(_em_floor(flat.real, n_trunc)))
         if floor > tol:
@@ -206,11 +222,15 @@ def _zeta_eval(flat: np.ndarray, tol: float):
 
 
 def zeta_array(s, tol: float = 1e-11) -> np.ndarray:
-    """Vectorised zeta via Euler-Maclaurin, certified to tol per point."""
+    """Vectorised zeta via Euler-Maclaurin, certified to tol per point.
+
+    The shape of s is kept; a 2-D s whose rows are progressions with one
+    common step is summed as centres times offsets row by row.
+    """
     s_arr = np.asarray(s, dtype=complex)
     if s_arr.size == 0:
         return np.zeros(s_arr.shape, dtype=complex)
-    return _zeta_eval(s_arr.ravel(), tol)[0].reshape(s_arr.shape)
+    return _zeta_eval(s_arr, tol)[0].reshape(s_arr.shape)
 
 
 def zeta(s: complex, tol: float = 1e-11) -> ZetaEval:

@@ -12,10 +12,12 @@ from zetascope.errors import (
 )
 from zetascope.scan import (
     _CHUNK,
+    _VALUE_CHUNK,
     Hit,
     ScanResult,
     ScanWindow,
     _candidate_indices,
+    _refine_all,
     _run_scan,
     density_estimate,
     refine_hit,
@@ -61,6 +63,37 @@ def test_refine_hit_constant_objective():
 def test_refine_never_leaves_radius():
     hit = refine_hit(3.0, lambda t: -t, 0.05)  # pushes right, must clamp
     assert hit.tau <= 3.05 + 1e-12
+
+
+@pytest.mark.parametrize("name, objective, taus0, radius", [
+    ("|sin| near pi and 2 pi", lambda t: np.abs(np.sin(t)), [3.1, 6.2, 3.18, 6.35], 0.1),
+    ("constant", lambda t: np.full(np.shape(t), 7.25), [5.0, -2.0, 1e3], 0.5),
+    ("-t clamps right", lambda t: -np.asarray(t), [3.0, 10.0, 1e4], 0.05),
+    # a flat first candidate gets no vertex fit while the others do
+    ("flat, then |sin|", lambda t: np.where(np.asarray(t) < 50.0, np.abs(np.sin(t)), -1.0),
+     [60.0, 3.1, 6.2, 60.0, 9.5], 0.1),
+])
+def test_refine_all_matches_refine_hit(name, objective, taus0, radius):
+    """Lockstep refinement gives each candidate the hit refine_hit gives it
+    alone, in at most 1 + 3 x 2 objective calls for any number of candidates."""
+    shapes = []
+
+    def counted(t):
+        shapes.append(np.shape(t))
+        return objective(t)
+
+    taus, vals = _refine_all(taus0, counted, radius)
+    assert len(shapes) <= 7
+    assert shapes[0] == (len(taus0),) and (len(taus0), 21) in shapes
+    for tau0, tau, val in zip(taus0, taus, vals):
+        hit = refine_hit(tau0, objective, radius)
+        assert abs(tau - hit.tau) <= 1e-12 * max(1.0, abs(tau0)), name
+        assert val == hit.residuals[0]
+        assert tau0 - radius <= tau <= tau0 + radius
+    if name.startswith("-t"):
+        assert np.allclose(taus, np.add(taus0, radius), rtol=0.0, atol=1e-12)
+    if name.startswith("|sin|"):
+        assert np.allclose(taus, [math.pi, 2 * math.pi, math.pi, 2 * math.pi], atol=1e-6)
 
 
 def test_self_referential_log_scan():
@@ -116,8 +149,11 @@ def test_thread_determinism():
          ScanWindow(t=495.0, h=10.0, eps=1e-3, step=0.1)),
         ("zeta", (1.0,), ScanWindow(t=1000.0, h=10.0, eps=0.35)),
         ("zeta", tuple(zeta_derivs(1, 0.75 + 300.0j)[0]), ScanWindow(t=295.0, h=10.0, eps=1e-2)),
+        # about 4.4k points: a full value chunk and a partial one
+        ("zeta", (1.0,), ScanWindow(t=1000.0, h=200.0, eps=0.35)),
     ]
     assert len(cases[0][2].grid()) % _CHUNK and len(cases[0][2].grid()) > _CHUNK
+    assert len(cases[3][2].grid()) % _VALUE_CHUNK and len(cases[3][2].grid()) > _VALUE_CHUNK
     for mode, targets, w in cases:
         a, *rest = (scan_derivs(targets, 0.75, w, mode=mode, threads=k) for k in (1, 2, 3))
         assert a.hits
@@ -151,6 +187,7 @@ def test_skip_recording():
     grid = w.grid()
 
     def objective(taus, verify=False):
+        taus = np.ravel(taus)  # objectives take shifts of any shape
         resid = (np.abs(np.sin(taus)) + 0.6)[:, None]  # never below eps
         bad = np.abs(taus - 12.0) < 0.5
         resid[bad] = math.inf

@@ -265,7 +265,8 @@ def test_progression_at_height_against_mpmath():
 
 
 def test_only_progressions_are_factored(monkeypatch):
-    """Only an arithmetic progression reaches _em_eval with more than one offset."""
+    """Only an arithmetic progression, or rows of them with one common step,
+    reaches _em_eval with more than one offset."""
     from zetascope import zeta_engine
 
     em_eval, seen = zeta_engine._em_eval, []
@@ -274,17 +275,27 @@ def test_only_progressions_are_factored(monkeypatch):
     prog = 0.75 + 1j * (200.0 + 0.1 * np.arange(64))
     moved = prog.copy()
     moved[17] += 1e-7j
+    # rows of progressions: one common step, one step per row, one row broken
+    rows = 0.75 + 1j * (200.0 + 3.7 * np.arange(3)[:, None] + 0.01 * np.arange(21))
+    steps = 0.75 + 1j * (200.0 + np.array([[0.01], [0.011], [0.012]]) * np.arange(21))
+    broken = rows.copy()
+    broken[1, 7] += 1e-7j
     cases = [
         (prog, 8),
         (np.random.default_rng(3).permutation(prog), 1),
         (moved, 1),
         (0.75 + 200.0j + 0.25 * np.exp(2j * math.pi * np.arange(64) / 64), 1),
         (prog[:8], 1),
+        (rows, 5),
+        (steps, 1),
+        (broken, 1),
     ]
     for s, offsets in cases:
         seen.clear()
         zeta_array(s)
         assert set(seen) == {offsets}
+    single = np.array([zeta_array([x])[0] for x in rows.ravel()]).reshape(rows.shape)
+    assert np.all(np.abs(zeta_array(rows) - single) <= 1e-12 * np.abs(single))
 
 
 @pytest.mark.filterwarnings("error")
