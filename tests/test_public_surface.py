@@ -27,14 +27,18 @@ def test_quadrature_module_is_gone():
 
 
 def test_removed_names_stay_removed():
-    """log_zeta_derivs(k, ...)[0][k] replaced log_zeta_deriv; SelbergSpec.q_max had no reader."""
+    """log_zeta_derivs(k, ...)[0][k] replaced log_zeta_deriv; SelbergSpec.q_max had no reader;
+    the disk check samples the boundary circle, so its polar grid knobs are gone."""
+    import inspect
     from dataclasses import fields
 
-    from zetascope import zeta_engine
+    from zetascope import universality, zeta_engine
 
     assert not hasattr(zetascope, "log_zeta_deriv")
     assert not hasattr(zeta_engine, "log_zeta_deriv")
     assert "q_max" not in {f.name for f in fields(zeta_engine.SelbergSpec)}
+    for func in (universality.check_disk_approximation, universality.run_universality):
+        assert not {"rings", "angles"} & set(inspect.signature(func).parameters)
 
 
 SOURCES = sorted(p for p in Path(zetascope.__file__).parent.glob("*.py") if p.name != "__init__.py")

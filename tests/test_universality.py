@@ -104,7 +104,7 @@ def test_check_disk_identity_target():
     tau = 300.0
     target = UniversalityTarget(g=zeta_shift(tau), s0=0.75, r=0.125, delta0=0.5,
                                 eps=0.05)
-    check = check_disk_approximation(tau, target, 0.5, rings=8, angles=32)
+    check = check_disk_approximation(tau, target, 0.5)
     assert check.sup_diff < 1e-9
     assert check.verdict
 
@@ -121,13 +121,57 @@ def test_check_disk_point_case():
 def test_check_disk_huge_constant_fails():
     big = lambda z: np.full_like(np.asarray(z, dtype=complex), 1e6 + 0j)
     target = UniversalityTarget(g=big, s0=0.75, r=0.125, delta0=0.5, eps=0.1)
-    check = check_disk_approximation(50.0, target, 0.25, rings=4, angles=16)
+    check = check_disk_approximation(50.0, target, 0.25)
     # coarse scan oracle: |zeta| on the shifted disk never comes near 1e6
     pts = 0.75 + 0.03 * np.exp(2j * np.pi * np.arange(64) / 64.0)
     assert np.max(np.abs(zeta_array(pts + 50.0j))) < 1e2
     assert not check.verdict
     assert check.sup_diff > 1e5
 
+
+
+def test_check_disk_rejects_pole_by_distance():
+    """Im s0 < 0 lowers the shifted centre: tau = 0.5 > r, yet 0.75 + 0i is
+    0.25 from the pole, inside the r = 0.3 disk."""
+    target = UniversalityTarget(g=np.exp, s0=0.75 - 0.5j, r=0.3, delta0=0.5, eps=0.1)
+    with pytest.raises(ValueError, match="pole"):
+        check_disk_approximation(0.5, target, 0.5)
+
+
+def test_check_disk_rejects_full_disk():
+    """delta = 1 leaves no room between the disk and the margin circle."""
+    target = UniversalityTarget(g=zeta_shift(300.0), s0=0.75, r=0.125, delta0=0.5,
+                                eps=0.05)
+    with pytest.raises(ValueError, match="delta"):
+        check_disk_approximation(300.0, target, 1.0)
+
+
+@pytest.mark.parametrize("tau", [300.0, 1000.3])
+def test_check_disk_bounds_dense_interior(tau):
+    """Maximum modulus oracle: the boundary supremum is not below a dense
+    interior polar grid, sup_diff + margin bounds that grid, and the grid
+    argmax agrees with mpmath at 30 digits."""
+    import mpmath
+
+    s0, r, delta = 0.75, 0.125, 0.5
+    radii = np.linspace(0.0, delta * r, 65)
+    phis = np.exp(2j * np.pi * np.arange(512) / 512.0)
+    pts = (s0 + np.outer(radii, phis)).ravel()
+    zetas = zeta_array(pts + 1j * tau)
+    targets = {"one": (lambda z: np.ones_like(np.asarray(z, dtype=complex)), lambda s: 1),
+               "exp": (lambda z: np.exp(np.asarray(z, dtype=complex)), mpmath.exp)}
+    for name, (g, g_mp) in targets.items():
+        target = UniversalityTarget(g=g, s0=s0, r=r, delta0=0.5, eps=0.5)
+        check = check_disk_approximation(tau, target, delta)
+        diffs = zetas - g(pts)
+        i = int(np.argmax(np.abs(diffs)))
+        dense = float(np.abs(diffs[i]))
+        assert check.sup_diff >= dense * (1.0 - 1e-9), name
+        assert dense <= check.sup_diff + check.margin, name
+        with mpmath.workdps(30):
+            s = mpmath.mpc(pts[i].real, pts[i].imag)
+            want = mpmath.zeta(s + mpmath.mpc(0, tau)) - g_mp(s)
+        assert abs(complex(want) - diffs[i]) < 1e-9, name
 
 def test_budget_chain_inequality():
     """If every coefficient matches within delta1, the weighted sum stays
