@@ -5,15 +5,17 @@ objective by mode: log-zeta derivatives (the Omega-result) or plain zeta
 derivatives (the Taylor data of weak universality); `scan_log_derivs` and
 `scan_zeta_derivs` name its two modes. The scan grid is finer than the
 fastest Euler-product oscillation in the window. Every objective takes an
-array of shifts of any shape: the grid goes to it in fixed chunks, whose
-circle nodes are evaluated in one batch (64 points; 4096 for the value
-mode, one zeta target, whose chunk is one progression for the factored
-main sum), and the log mode gets log zeta itself by continuation along the
-scan line. Grid dips are then polished by nested local refinement of all
-candidates in lockstep, one objective call per level, and every refined
-candidate is re-verified at doubled quadrature order in one more call.
-Candidate selection keeps a first-order safety margin so a sharp minimum
-sitting between grid points is still caught.
+array of shifts of any shape: the grid goes to it in fixed chunks, each
+evaluated in one batch (64 points, whose zeta Taylor data is one call of
+the differentiated Dirichlet sums; 4096 for the value mode, one zeta
+target, whose chunk is one progression for the factored main sum), and the
+log mode gets log zeta itself by continuation along the scan line. Grid
+dips are then polished by nested local refinement of all candidates in
+lockstep, one objective call per level, and every refined candidate is
+re-verified in one more call (the log mode on circles of doubled
+quadrature order, the value mode at a tighter tolerance). Candidate
+selection keeps a first-order safety margin so a sharp minimum sitting
+between grid points is still caught.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ import numpy as np
 from .errors import PathThroughZeroError, WindowConstraintError, ZeroConstantTermError
 from .zeta_engine import (
     _log_zeta_line_derivs,
-    _zeta_circles,
+    _zeta_taylor,
     log_zeta_derivs,
     zeta_array,
 )
@@ -45,9 +47,9 @@ __all__ = [
 ]
 
 MAX_ORDER_LOG = 8    # factorial noise amplification past this defeats eps
-MAX_ORDER_ZETA = 12  # larger circles allowed for the plain-zeta scan
+MAX_ORDER_ZETA = 12  # Taylor kernel bounds, growing like (log N)^k, checked to order 11
 # grid points per objective call: one batch shape, whatever the thread count
-_CHUNK = 64  # circle modes
+_CHUNK = 64  # derivative modes
 _VALUE_CHUNK = 4096  # value mode: 64 centres x 64 offsets in the factored main sum
 
 
@@ -213,10 +215,11 @@ def _run_scan(objective, grid: np.ndarray, window: ScanWindow, sigma0: float,
     objective(taus, verify) returns (residuals, reasons) at an array of
     shifts of any shape: residuals[i] = |derivs - targets| at the i-th shift
     in ravel order, a row of inf where the shift could not be evaluated, and
-    reasons maps those rows to why. verify=True asks for the final verdict
-    at doubled quadrature order. The grid goes to the objective in chunks of
-    `chunk` points, shared over `threads` workers; the chunks do not depend
-    on the thread count, so neither do the hits. All candidates are refined
+    reasons maps those rows to why. verify=True asks for the final verdict,
+    at doubled quadrature order or tighter tolerance where the mode has one.
+    The grid goes to the objective in chunks of `chunk` points, shared over
+    `threads` workers; the chunks do not depend on the thread count, so
+    neither do the hits. All candidates are refined
     together (`_refine_all`) and verified in one call; each hit's wall_time
     is the time of that whole refine-and-verify batch.
     """
@@ -272,15 +275,14 @@ def scan_derivs(targets, sigma0: float, window: ScanWindow, *, mode: str = "log"
     mode "log" matches d^k/ds^k log zeta(sigma0 + i tau) and mode "zeta"
     matches d^k/ds^k zeta(sigma0 + i tau) against targets[k], k < n; the
     grid objective is max_k |derivative - target|, and dips below the
-    window tolerance become verified hits. Derivatives come from Cauchy
-    circles, batched over each chunk of shifts (the log mode takes the
-    circles of zeta and continues log zeta along the line), except for a
-    single zeta target, whose residual |zeta - targets[0]| needs only
-    `zeta_array`. The circles of a zeta-mode batch share one radius, the
-    smallest over the batch (1.5 at every height above 4). A log-mode
-    chunk whose continuation fails goes point by point through
-    `log_zeta_derivs`; points where its circle meets a zero are skipped and
-    recorded. Hits are verified together, the log mode's point by point.
+    window tolerance become verified hits. Zeta derivatives come from the
+    differentiated Dirichlet sums (`zeta_engine._zeta_taylor`), one call per
+    chunk of shifts; the log mode turns them into log-zeta derivatives and
+    continues log zeta along the line. A single zeta target, whose residual
+    |zeta - targets[0]| needs no derivative, goes to `zeta_array`. A log-mode
+    chunk whose continuation fails goes point by point through the circles
+    of `log_zeta_derivs`; points where its circle meets a zero are skipped
+    and recorded. Hits are verified together, the log mode's point by point.
     The zeta mode needs a nonzero constant target (a zero one would ask the
     scan to find a zeta zero off the critical line).
     """
@@ -322,12 +324,10 @@ def scan_derivs(targets, sigma0: float, window: ScanWindow, *, mode: str = "log"
             return per_point(taus, 128 if verify else 64)
     elif n > 1:
         def objective(taus, verify=False):
-            centres = sigma0 + 1j * np.ravel(taus)
-            radius = min(1.5, 0.5 * float(np.min(np.abs(centres - 1.0))))
-            derivs = _zeta_circles(centres, radius, n - 1, 256 if verify else 128, 1e-9)[0]
+            derivs = _zeta_taylor(sigma0 + 1j * np.ravel(taus), n - 1)[0]
             return np.abs(derivs - b), {}
     else:
-        # the 0th circle coefficient is the value itself: no circle needed;
+        # a single target is matched by the value itself: no derivatives;
         # the shape of taus reaches zeta_array, which factors rows of progressions
         def objective(taus, verify=False):
             s = sigma0 + 1j * np.asarray(taus)

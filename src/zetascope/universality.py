@@ -122,10 +122,9 @@ def taylor_coeffs(g, s0: complex, r_c: float, n: int, *, return_error: bool = Fa
     s0 = complex(s0)
     if r_c <= 0:
         raise ValueError("circle radius must be positive")
-    f = lambda rows, phis: np.asarray(g(s0 + r_c * np.exp(1j * phis)))[None, :]
+    f = lambda phis: np.asarray(g(s0 + r_c * np.exp(1j * phis)))
     prev_change = math.inf
-    for all_derivs, all_change in _circle_derivs(f, 1, r_c, n - 1, 64, 7, 1e-10):
-        derivs, change = all_derivs[0], float(all_change[0])
+    for derivs, change in _circle_derivs(f, r_c, n - 1, 64, 7):
         scale = 1.0 + float(np.max(np.abs(derivs)))
         if change < 1e-10 * scale:
             return (derivs, change) if return_error else derivs

@@ -1,22 +1,27 @@
-"""Direct zeta evaluation, branch-tracked logarithms, Cauchy-circle
-derivatives, Selberg's explicit formula, and rectangle zero counting.
+"""Direct zeta evaluation, zeta Taylor data, branch-tracked logarithms,
+Cauchy-circle derivatives, Selberg's explicit formula, and rectangle zero
+counting.
 
 The evaluator is Euler-Maclaurin with a truncation point scaling linearly in
 |Im s| and a Bernoulli correction series whose terms shrink geometrically
-once the truncation point passes |Im s| / (2 pi). `_em_eval` has one main
-sum, over points c_j + z_m: a matrix product of n^-c_j and n^-z_m per block
-of n, then the tail `_em_tail`; with one offset it is a row sum. Circle
-nodes are centres plus node offsets; an evenly spaced input is ceil(L / M)
-centres plus M = ceil(sqrt L) steps, so about 2 sqrt(L) exponentials per n
-serve L points, and K rows of L points, each a progression with one common
-step, are K ceil(L / M) centres plus the same M steps; any other input is
-its own centres with the one offset 0. One core, `_zeta_eval`, holds the
-truncation and retry policy of the certified `zeta` and `zeta_array`; its
-pole and envelope checks and starting truncation point (`_truncation`) also
-serve the circles. All Cauchy-circle Taylor data (here and in
-`universality.taylor_coeffs`) comes from one node-doubling kernel over a
-batch of centres, `_circle_derivs`:
-`zeta_derivs` runs it on one centre and the scan on a chunk of grid points.
+once the truncation point passes |Im s| / (2 pi). Every main sum is one
+blocked loop, `_blocked_sum`: a matrix product of n^-c_j and a right factor
+per block of n. `_em_eval` sums over points c_j + z_m, with n^-z_m as the
+right factor, then adds the tail `_em_tail`; with one offset it is a row
+sum. An evenly spaced input is ceil(L / M) centres plus M = ceil(sqrt L)
+steps, so about 2 sqrt(L) exponentials per n serve L points, and K rows of
+L points, each a progression with one common step, are K ceil(L / M)
+centres plus the same M steps; any other input is its own centres with the
+one offset 0. One core, `_zeta_eval`, holds the truncation and retry policy
+of the certified `zeta` and `zeta_array`; its pole and envelope checks and
+starting truncation point (`_truncation`) also serve the Taylor kernel.
+Zeta's own Taylor data comes from the Euler-Maclaurin formula
+differentiated in s, `_zeta_taylor`: the right factor is the power table
+(-log n)^k / k!, the tail is a power series, and each order carries an
+error bound. `zeta_derivs` runs it on one centre, the scans on a chunk of
+grid points. Cauchy circles with node doubling (`_circle_derivs`) remain
+for functions known only by their values: the tracked log zeta of
+`log_zeta_derivs` and the targets of `universality.taylor_coeffs`.
 
 Branch convention: log zeta is the principal branch on the real segment
 (1, inf) and is continued along horizontal segments from sigma = 10, where
@@ -91,32 +96,48 @@ class ZetaEval:
     terms_used: int
 
 
+def _blocked_sum(s: np.ndarray, n_trunc: int, width: int, right=None) -> np.ndarray:
+    """sum_{n<N} n^-s_j right(-log n)[n, m], one matrix product per block of n.
+
+    right maps a block's values of -log n to its (block, width) right
+    factor; None means width 1 and a factor of ones, a row sum with no BLAS
+    call (which would otherwise run on BLAS's own threads). log n is formed
+    per block, and the memory bound is per block, not per call: each factor
+    holds at most max(2^13, len(s), width) entries, however long the sum.
+    2^13 complex entries are 128 KiB, glibc's default mmap threshold, so the
+    factors come from the heap and are reused rather than mapped and
+    page-faulted afresh for every block.
+    """
+    vals = np.zeros((len(s), width), dtype=complex)
+    block = max(1, (1 << 13) // max(len(s), width))
+    for i in range(1, n_trunc, block):
+        neg = -np.log(np.arange(i, min(i + block, n_trunc), dtype=float))
+        left = np.outer(s, neg)
+        np.exp(left, out=left)
+        if right is None:
+            vals[:, 0] += left.sum(axis=1)
+        else:
+            vals += left @ right(neg)
+    return vals
+
+
 def _em_eval(s: np.ndarray, n_trunc: int, n_bern: int, offsets: np.ndarray | None = None):
     """Euler-Maclaurin at every s_j + z_m with fixed truncation settings.
 
     Returns values and error estimates of shape (len(s), len(z)); offsets
     None means z = [0]. The main sum separates as sum_n n^-s_j n^-z_m, one
-    matrix product per block of n, so (len(s) + len(z)) * n_trunc complex
-    exponentials replace len(s) * len(z) * n_trunc. With one offset the
-    product would multiply by a column of ones on BLAS's own threads, so it
-    is a row sum of n^-(s_j + z_0) instead. log n is formed per block, and
-    the memory bound is per block, not per call: each factor holds at most
-    max(2^13, len(s), len(z)) complex entries, however long the sum. 2^13
-    entries are 128 KiB, glibc's default mmap threshold, so the factors come
-    from the heap and are reused rather than mapped and page-faulted afresh
-    for every block.
+    matrix product per block of n (`_blocked_sum`), so (len(s) + len(z)) *
+    n_trunc complex exponentials replace len(s) * len(z) * n_trunc. With one
+    offset it is a row sum of n^-(s_j + z_0).
     """
     z = np.zeros(1) if offsets is None else offsets
-    vals = np.zeros((len(s), len(z)), dtype=complex)
-    block = max(1, (1 << 13) // max(len(s), len(z)))
-    for i in range(1, n_trunc, block):
-        neg = -np.log(np.arange(i, min(i + block, n_trunc), dtype=float))
-        if len(z) == 1:
-            left = np.outer(s + z[0], neg)
-            vals[:, 0] += np.exp(left, out=left).sum(axis=1)
-        else:
-            left, right = np.outer(s, neg), np.outer(neg, z)
-            vals += np.exp(left, out=left) @ np.exp(right, out=right)
+    if len(z) == 1:
+        vals = _blocked_sum(s + z[0], n_trunc, 1)
+    else:
+        def right(neg):
+            out = np.outer(neg, z)
+            return np.exp(out, out=out)
+        vals = _blocked_sum(s, n_trunc, len(z), right)
     return vals, _em_tail(vals, s[:, None] + z, n_trunc, n_bern)
 
 
@@ -239,6 +260,82 @@ def zeta(s: complex, tol: float = 1e-11) -> ZetaEval:
     return ZetaEval(complex(vals[0]), float(err[0]), n_trunc)
 
 
+def _zeta_taylor(centres: np.ndarray, kmax: int):
+    """zeta^(k)(c_j) for k <= kmax at every centre, with a bound on each error.
+
+    The Euler-Maclaurin formula differentiated in s: its main sum is
+    sum_{n<N} n^-c_j (-log n)^k / k!, one product per block of n with the
+    power table of -log n (`_blocked_sum`), and its tail
+    N^-c e^(-u log N) [N / (c - 1 + u) + 1/2 + sum_j beta_j (c + u)(c + 1 + u)
+    ... (c + 2j - 2 + u) N^(1 - 2j)] is a power series in u = s - c. N is
+    `_truncation`'s and there are 30 Bernoulli terms, as in the first pass of
+    `_zeta_eval`. Returns (derivs, err), both (len(centres), kmax + 1). err
+    adds a Cauchy majorant of the remainder on the circle |s - c| = k / log N,
+    the rounding floor eps sum_n (log n)^k n^-sigma (log2 N + 2 |t| log n),
+    whose second term is the rounding of the phase t log n, and the rounding
+    of the tail, which near the pole at s = 1 is most of zeta^(k).
+    """
+    c = np.asarray(centres, dtype=complex)
+    n_trunc, n_bern = _truncation(c), 30
+    nf, log_nf = float(n_trunc), math.log(n_trunc)
+    ks = np.arange(kmax + 1)
+    fact = np.array([math.factorial(k) for k in range(kmax + 2)], dtype=float)
+
+    def powers(neg):  # (-log n)^k / k! for k <= kmax + 1
+        table = np.empty((len(neg), kmax + 2))
+        table[:, 0] = 1.0
+        table[:, 1:] = np.outer(neg, 1.0 / np.arange(1, kmax + 2))
+        return np.cumprod(table, axis=1, out=table)
+
+    # one more row per real part: |sum_n n^-sigma (-log n)^k / k!| is the
+    # absolute sum the rounding floor needs, one order beyond kmax
+    sigmas, which = np.unique(c.real, return_inverse=True)
+    sums = _blocked_sum(np.concatenate([c, sigmas]), n_trunc, kmax + 2, powers)
+    absum = np.abs(sums[len(c) :])[which] * fact
+
+    # the tail as a power series in u
+    bern = _bernoulli_over_factorial()
+    one = np.zeros((len(c), kmax + 1), dtype=complex)
+    one[:, 0] = 1.0
+
+    def times_linear(p, a):  # p(u) (a + u), truncated
+        out = p * a[:, None]
+        out[:, 1:] += p[:, :-1]
+        return out
+
+    inv = 1.0 / (c[:, None] - 1.0)
+    bracket = nf * inv * (-inv) ** ks + 0.5 * one
+    term = bern[0] / nf * times_linear(one, c)
+    for j in range(1, n_bern + 1):
+        bracket += term
+        term = times_linear(times_linear(term, c + (2 * j - 1)), c + 2 * j)
+        term *= bern[j] / bern[j - 1] / nf**2
+    decay = (-log_nf) ** ks / fact[:-1]  # e^(-u log N)
+    conv = lambda a, b: np.stack([a[:, : k + 1] @ b[k::-1] for k in ks], axis=1)
+    tail = (nf**-c)[:, None] * conv(bracket, decay)
+    derivs = (sums[: len(c), :-1] + tail) * fact[:-1]
+
+    # |R^(k)(c)| <= k! max_{|s-c|=rho} |R(s)| / rho^k, with the remainder
+    # bound of _em_tail majorised on the circle
+    rho = ks / log_nf
+    sigma = c.real[:, None]
+    log_r = (
+        np.log(2.0 * abs(bern[n_bern]))
+        + np.sum(np.log(np.abs(c[:, None, None] + np.arange(2 * n_bern + 1)) + rho[:, None]),
+                 axis=2)
+        - (sigma - rho + 2 * n_bern + 1) * log_nf
+        + np.log((np.abs(c[:, None] + (2 * n_bern + 1)) + rho)
+                 / np.maximum(sigma - rho + 2 * n_bern + 1, 1.0))
+    )
+    cauchy = fact[:-1] * np.exp(log_r - ks * np.log(np.where(ks > 0, rho, 1.0)))
+    t = np.abs(c.imag)[:, None]
+    # the tail's rounding: its phase t log N, its 2 n_bern sums and products
+    tail_abs = (nf**-c.real)[:, None] * conv(np.abs(bracket), np.abs(decay)) * fact[:-1]
+    floor = 2.2e-16 * (math.log2(n_trunc) * absum[:, :-1] + 2.0 * t * absum[:, 1:]
+                       + (2.0 * t * log_nf + 2 * n_bern + ks + 4) * tail_abs)
+    return derivs, cauchy + floor
+
+
 # ----------------------------------------------------------------------
 # Branch tracking
 # ----------------------------------------------------------------------
@@ -297,56 +394,29 @@ def log_zeta_tracked(sigma0: float, t: float) -> complex:
     return complex(math.log(abs(v_end)), total_arg)
 
 
-def _circle_derivs(f, count: int, radius: float, kmax: int, nodes: int, rounds: int,
-                   settle: float):
-    """Cauchy-circle Taylor data of F_j(c_j + radius e^(i phi)) for count centres c_j.
+def _circle_derivs(f, radius: float, kmax: int, nodes: int, rounds: int):
+    """Cauchy-circle Taylor data of F(c + radius e^(i phi)), with node doubling.
 
-    f(rows, phis) returns the (len(rows), len(phis)) values of the centres
-    `rows` at the node angles phis. Each round doubles the equispaced nodes
-    (at least `nodes`, 2(kmax+1)) and yields (derivs, change): d^k F_j/ds^k
-    for k <= kmax, shape (count, kmax+1), and each centre's largest change
-    from the round before (inf on the first). A centre settles once its
-    change is below settle * (1 + max_k |d^k F_j|): it keeps its values and
-    is not evaluated again. Both arrays are updated in place; the rounds end
-    when every centre has settled or after `rounds`.
+    f(phis) returns F at the node angles phis. Each round doubles the
+    equispaced nodes (at least `nodes`, 2(kmax+1)) and yields (derivs,
+    change): d^k F/ds^k at c for k <= kmax, and the largest change from the
+    round before (inf on the first). The caller stops when it is satisfied;
+    the rounds end after `rounds`.
     """
     ks = np.arange(kmax + 1)
     fact = np.array([math.factorial(int(k)) for k in ks], dtype=float)
-    derivs = np.zeros((count, kmax + 1), dtype=complex)
-    change = np.full(count, math.inf)
-    rows = np.arange(count)
+    derivs, change = None, math.inf
     m = max(nodes, 2 * (kmax + 1))
-    for r in range(rounds):
+    for _ in range(rounds):
         phis = np.linspace(0.0, 2.0 * math.pi, m, endpoint=False)
-        vals = np.asarray(f(rows, phis))
-        # one (rows, nodes) product per order keeps the temporaries small
-        coeff = np.stack([(vals * w).mean(axis=1) for w in np.exp(-1j * np.outer(ks, phis))],
-                         axis=1)
+        vals = np.asarray(f(phis))
+        coeff = np.array([(vals * w).mean() for w in np.exp(-1j * np.outer(ks, phis))])
         new = coeff * fact / radius ** ks.astype(float)
-        if r:
-            change[rows] = np.max(np.abs(new - derivs[rows]), axis=1)
-        derivs[rows] = new
+        if derivs is not None:
+            change = float(np.max(np.abs(new - derivs)))
+        derivs = new
         yield derivs, change
-        rows = rows[~(change[rows] < settle * (1.0 + np.max(np.abs(derivs[rows]), axis=1)))]
-        if not rows.size:
-            return
         m *= 2
-
-
-def _zeta_circles(centres: np.ndarray, radius: float, kmax: int, nodes: int, settle: float):
-    """d^k zeta/ds^k for k <= kmax at every centre, on circles of one radius.
-
-    Each round evaluates every node of every unsettled circle in one
-    separable Euler-Maclaurin pass. Returns (derivs of shape
-    (len(centres), kmax + 1), each centre's last change).
-    """
-    def f(rows, phis):
-        c, z = centres[rows], radius * np.exp(1j * phis)
-        return _em_eval(c, _truncation(c[:, None] + z), 30, z)[0]
-
-    for derivs, change in _circle_derivs(f, len(centres), radius, kmax, nodes, 5, settle):
-        pass
-    return derivs, change
 
 
 def _circle_log_values(center: complex, radius: float, phis: np.ndarray) -> np.ndarray:
@@ -386,27 +456,30 @@ def log_zeta_derivs(kmax: int, sigma0: float, t: float, radius: float | None = N
     if radius <= 0:
         raise ValueError("radius must be positive (sigma0 too close to 1/2?)")
     center = complex(sigma0, t)
-    f = lambda rows, phis: _circle_log_values(center, radius, phis)[None, :]
-    for derivs, change in _circle_derivs(f, 1, radius, kmax, nodes, 5, settle):
-        pass
-    return derivs[0], float(change[0])
+    f = lambda phis: _circle_log_values(center, radius, phis)
+    for derivs, change in _circle_derivs(f, radius, kmax, nodes, 5):
+        if change < settle * (1.0 + np.max(np.abs(derivs))):
+            break
+    return derivs, change
 
 
 def _log_zeta_line_derivs(kmax: int, sigma0: float, taus) -> tuple[np.ndarray, np.ndarray]:
     """log_zeta_derivs at sigma0 + i tau for every tau of a short run, in one batch.
 
-    For k >= 1 the Taylor coefficients a_j of zeta on the circles of
-    log_zeta_derivs (one batched kernel) give those of log zeta by the
+    For k >= 1 the Taylor coefficients a_j of zeta at the points (one
+    batched `_zeta_taylor` call) give those of log zeta by the
     log-series recurrence b_k = (a_k - (1/k) sum_{0<j<k} j b_j a_{k-j}) / a_0,
     which needs no branch. log zeta itself is continued along Re s = sigma0
     from log_zeta_tracked at the lowest tau and checked against
     log_zeta_tracked at the highest; they differ by 2 pi times the number of
     zeros in [sigma0, 10] x [min tau, max tau]. A mismatch or a failed
-    continuation raises PathThroughZeroError. Zeros inside a circle but left
-    of the line are not seen (none exist off the critical line).
+    continuation raises PathThroughZeroError. Zeros left of the line, inside
+    the circle of log_zeta_derivs, are not seen (none exist off the critical
+    line).
 
     Returns (derivs of shape (len(taus), kmax + 1), per tau a first-order
-    error estimate of the k >= 1 values from the circle changes).
+    error bound of the k >= 1 values: the largest error bound of the zeta
+    derivatives over |zeta|, times 1 + max_k |derivs|).
     """
     order = np.argsort(taus, kind="stable")
     t = np.asarray(taus, dtype=float)[order]
@@ -418,9 +491,7 @@ def _log_zeta_line_derivs(kmax: int, sigma0: float, taus) -> tuple[np.ndarray, n
             f"misses the horizontal continuation: a zero lies right of the line"
         )
     idx = np.searchsorted(params, t)
-    centres = sigma0 + 1j * t
-    radius = min(0.8 * (sigma0 - 0.5), 0.5 * float(np.min(np.abs(centres - 1.0))))
-    zeta_d, change = _zeta_circles(centres, radius, kmax, 64, 1e-11)
+    zeta_d, zeta_err = _zeta_taylor(sigma0 + 1j * t, kmax)
     fact = np.array([math.factorial(k) for k in range(kmax + 1)], dtype=float)
     a = zeta_d / fact
     b = np.empty_like(a)
@@ -429,25 +500,20 @@ def _log_zeta_line_derivs(kmax: int, sigma0: float, taus) -> tuple[np.ndarray, n
         acc = sum(j * b[:, j] * a[:, k - j] for j in range(1, k))
         b[:, k] = (a[:, k] - acc / k) / a[:, 0]
     derivs = b * fact
-    err = change / np.abs(a[:, 0]) * (1.0 + np.max(np.abs(derivs), axis=1))
+    err = np.max(zeta_err, axis=1) / np.abs(a[:, 0]) * (1.0 + np.max(np.abs(derivs), axis=1))
     undo = np.argsort(order)
     return derivs[undo], err[undo]
 
 
-def zeta_derivs(kmax: int, center: complex, radius: float | None = None,
-                nodes: int = 128) -> tuple[np.ndarray, float]:
-    """Plain zeta derivatives at a point by Cauchy circle quadrature.
+def zeta_derivs(kmax: int, center: complex) -> tuple[np.ndarray, float]:
+    """Plain zeta derivatives d^k zeta/ds^k at a point for k = 0..kmax.
 
-    The batched circle kernel with one centre. No branch issues here; the
-    only excluded point is the pole at s = 1.
+    The Taylor kernel `_zeta_taylor` on one centre. Returns (array of k+1
+    values, the largest of their error bounds). The only excluded point is
+    the pole at s = 1.
     """
-    center = complex(center)
-    if radius is None:
-        radius = min(1.5, 0.5 * abs(center - 1.0))
-    if abs(center - 1.0) <= radius:
-        raise PoleAtOneError("derivative circle encloses the pole at s = 1")
-    derivs, change = _zeta_circles(np.array([center]), radius, kmax, nodes, 1e-9)
-    return derivs[0], float(change[0])
+    derivs, err = _zeta_taylor(np.array([complex(center)]), kmax)
+    return derivs[0], float(np.max(err))
 
 
 # ----------------------------------------------------------------------

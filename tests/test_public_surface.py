@@ -28,7 +28,8 @@ def test_quadrature_module_is_gone():
 
 def test_removed_names_stay_removed():
     """log_zeta_derivs(k, ...)[0][k] replaced log_zeta_deriv; SelbergSpec.q_max had no reader;
-    the disk check samples the boundary circle, so its polar grid knobs are gone."""
+    the disk check samples the boundary circle, so its polar grid knobs are gone;
+    zeta_derivs differentiates the Dirichlet sums, so it has no circle knobs."""
     import inspect
     from dataclasses import fields
 
@@ -39,6 +40,7 @@ def test_removed_names_stay_removed():
     assert "q_max" not in {f.name for f in fields(zeta_engine.SelbergSpec)}
     for func in (universality.check_disk_approximation, universality.run_universality):
         assert not {"rings", "angles"} & set(inspect.signature(func).parameters)
+    assert not {"radius", "nodes"} & set(inspect.signature(zeta_engine.zeta_derivs).parameters)
 
 
 SOURCES = sorted(p for p in Path(zetascope.__file__).parent.glob("*.py") if p.name != "__init__.py")

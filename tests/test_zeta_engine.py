@@ -12,6 +12,7 @@ from zetascope.errors import (
 )
 from zetascope.zeta_engine import (
     SelbergSpec,
+    _zeta_taylor,
     chi_factor,
     count_zeros,
     hardy_z,
@@ -58,6 +59,8 @@ def test_pole_and_validation():
         zeta(1.0)
     with pytest.raises(PoleAtOneError):
         zeta_array(np.array([2.0, 1.0 + 1e-14j]))
+    with pytest.raises(PoleAtOneError):
+        zeta_derivs(2, 1.0)
 
 
 def test_first_zero_is_small():
@@ -126,7 +129,7 @@ def test_log_zeta_deriv_vs_finite_difference():
 
 
 def test_zeta_derivs_on_dirichlet_region():
-    derivs, _ = zeta_derivs(2, 3.0 + 0j, radius=0.75)
+    derivs, _ = zeta_derivs(2, 3.0 + 0j)
     n = np.arange(1, 200_000, dtype=float)
     for k in range(3):
         series = np.sum((-np.log(n)) ** k * n ** (-3.0))
@@ -311,19 +314,21 @@ def test_progression_near_the_pole():
         zeta_array(np.linspace(0.9, 1.1, 21))
 
 
-@pytest.mark.parametrize("s", [
-    0.9 + 1e5j + 0.25 * np.exp(2j * math.pi * np.arange(64) / 64),
-    np.array([0.9 + 1e7j]),
-], ids=["circle-nodes-1e5", "one-point-1e7"])
-def test_evaluator_memory_is_bounded_per_block(s):
-    """No zeta_array temporary grows with the length of the sum: the peak
-    traced allocation stays under 24 MiB at 33k and at 3.3M terms."""
+@pytest.mark.parametrize("evaluate", [
+    lambda: zeta_array(0.9 + 1e5j + 0.25 * np.exp(2j * math.pi * np.arange(64) / 64)),
+    lambda: zeta_array(np.array([0.9 + 1e7j])),
+    lambda: _zeta_taylor(0.9 + 1e5j + 0.01j * np.arange(64), 11),
+], ids=["circle-nodes-1e5", "one-point-1e7", "taylor-64-centres-1e5"])
+def test_evaluator_memory_is_bounded_per_block(evaluate):
+    """No temporary of zeta_array or of the Taylor kernel grows with the
+    length of the sum: the peak traced allocation stays under 24 MiB at 33k
+    and at 3.3M terms."""
     import tracemalloc
 
     zeta_array([2.0])  # the Bernoulli table is built once, outside the trace
     tracemalloc.start()
     try:
-        zeta_array(s)
+        evaluate()
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -364,27 +369,29 @@ def _mp_log_zeta_derivs(sigma, t):
 
 @pytest.mark.parametrize("tau", [500.0, 2000.0, 5000.0])
 def test_batched_log_derivs_against_mpmath(tau):
-    """Oracle: the batched log-zeta derivatives of a run of shifts, k <= 2."""
+    """Oracle: the batched log-zeta derivatives of a run of shifts, k <= 2;
+    for k >= 1 the reported error is a bound."""
     from zetascope.zeta_engine import _log_zeta_line_derivs
 
     taus = tau + np.array([0.0, 0.15, 0.3])
     derivs, err = _log_zeta_line_derivs(2, 0.75, taus)
     for t, d, e in zip(taus, derivs, err):
         ref = _mp_log_zeta_derivs(0.75, t)
-        assert np.max(np.abs(d - ref)) <= max(e, 1e-9 * (1.0 + np.max(np.abs(d)))), t
+        assert np.max(np.abs(d[1:] - ref[1:])) <= e, t
+        # log zeta itself carries the error of the zeta value
+        assert abs(d[0] - ref[0]) <= max(e, 1e-9 * (1.0 + np.max(np.abs(d)))), t
 
 
-def test_batched_zeta_derivs_against_mpmath():
-    """Oracle: batched zeta derivatives, k <= 7, on circles of radius 1.5."""
-    from zetascope.zeta_engine import _zeta_circles
-
-    centres = 0.75 + 1j * (1000.0 + np.array([0.0, 0.37, 0.74]))
-    derivs, change = _zeta_circles(centres, 1.5, 7, 128, 1e-9)
-    for c, d, e in zip(centres, derivs, change):
+@pytest.mark.parametrize("t", [500.0, 1000.0, 2000.0, 5000.0])
+def test_batched_zeta_derivs_against_mpmath(t):
+    """Oracle: batched zeta derivatives, k <= 7, each within its own bound."""
+    centres = 0.75 + 1j * (t + np.array([0.0, 0.37, 0.74]))
+    derivs, err = _zeta_taylor(centres, 7)
+    for c, d, e in zip(centres, derivs, err):
         with mp.workdps(30):
             ref = np.array([complex(mp.zeta(mp.mpc(c.real, c.imag), derivative=k))
                             for k in range(8)])
-        assert np.max(np.abs(d - ref)) <= max(e, 1e-9 * (1.0 + np.max(np.abs(d)))), c
+        assert np.all(np.abs(d - ref) <= e), c
 
 
 def test_line_continuation_sees_a_zero_right_of_the_line():
