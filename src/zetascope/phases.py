@@ -5,7 +5,8 @@ as exp(-2*pi*i*theta_p). Unassigned primes carry phase 0. It is stored as
 two sorted arrays, int64 primes and their turns, so every lookup is one
 binary search. Only primes that come from outside the package are checked
 by Miller-Rabin; primes the package sieved itself are trusted. All sums
-here are finite and exact up to the reported prime-power truncation.
+here are finite; the bound `log_euler_deriv` reports covers its prime-power
+truncation and its rounding.
 """
 
 from __future__ import annotations
@@ -17,6 +18,8 @@ from typing import Iterable, Mapping, NamedTuple
 import numpy as np
 
 from .primes import PrimeTable, is_prime
+
+_U = 2.0**-53  # unit roundoff of float64
 
 __all__ = [
     "PhaseAssignment",
@@ -160,23 +163,41 @@ def default_ell_max(primes, k: int, sigma0: float, tol: float = 1e-14) -> int:
     """Smallest prime-power depth ell >= max(2, k + 1), at most 10_000, whose
     rigorous tail bound `_tail_bound` is below tol.
 
-    The bound is infinite for small ell and decreases after, so doubling
-    and then bisection find the depth in a few evaluations.
+    The smallest prime's own term of that bound is a lower bound on the whole
+    bound, and it costs only scalar arithmetic. The search first finds the
+    depth where that term falls below tol (with a margin of 1e-9 relative,
+    for any difference of rounding from the array code), then steps up from
+    there with full-array bounds. The first full-array probe is usually the
+    answer already; every depth skipped has a term, and so a bound, at or
+    above tol.
     """
     ps = _as_array(primes, float)
     if ps.size == 0:
         return 1
-    below = lambda ell: _tail_bound(ps, k, sigma0, ell) < tol
-    hi = max(2, k + 1)
-    lo = hi - 1
-    while not below(hi):
-        if hi >= 10_000:
-            return hi
-        lo, hi = hi, min(2 * hi, 10_000)
-    while hi - lo > 1:  # below(hi), and lo is below the first depth or not below(lo)
-        mid = (lo + hi) // 2
-        lo, hi = (lo, mid) if below(mid) else (mid, hi)
-    return hi
+    p0 = float(ps.min())
+    x0, log_p0 = p0 ** (-sigma0), math.log(p0)
+
+    def lowest_below(ell):
+        t, q = _tail_terms(x0, log_p0, k, ell + 1)
+        return q < 1.0 and t / (1.0 - q) < tol * (1.0 + 1e-9)
+
+    start = _first_depth(lowest_below, max(2, k + 1))
+    return _first_depth(lambda ell: _tail_bound(ps, k, sigma0, ell) < tol, start)
+
+
+def _first_depth(below, ell: int) -> int:
+    """First depth >= ell where below holds, or 10_000 if none is up to there;
+    below must be false up to some depth and true after it. The step doubles
+    until below holds, then bisection finds the first depth."""
+    lo, step = ell - 1, 1
+    while not below(ell):
+        if ell >= 10_000:
+            return ell
+        lo, ell, step = ell, min(ell + step, 10_000), 2 * step
+    while ell - lo > 1:  # below(ell), and lo is below the first depth or not below(lo)
+        mid = (lo + ell) // 2
+        lo, ell = (lo, mid) if below(mid) else (mid, ell)
+    return ell
 
 
 @dataclass(frozen=True)
@@ -206,6 +227,15 @@ class LogDerivResult(NamedTuple):
     tail_bound: float
 
 
+def _tail_terms(x, log_p, k: int, nxt: int):
+    """First dropped term t = nxt^(k-1) (log p)^k x^nxt of each prime, with
+    x = p^(-sigma0), and the worst ratio q of the terms after it; x and log_p
+    are arrays or Python floats alike."""
+    if k == 0:
+        return x**nxt / nxt, x
+    return float(nxt) ** (k - 1) * log_p**k * x**nxt, x * ((nxt + 1) / nxt) ** (k - 1)
+
+
 def _tail_bound(ps: np.ndarray, k: int, sigma0: float, ell_max: int) -> float:
     """Rigorous bound on the dropped ell > ell_max part of the double sum.
 
@@ -213,14 +243,7 @@ def _tail_bound(ps: np.ndarray, k: int, sigma0: float, ell_max: int) -> float:
     worst by q = p^(-sigma0) * ((ell+1)/ell)^(k-1) once ell > ell_max; the
     tail is then t(ell_max+1) / (1 - q) whenever q < 1.
     """
-    nxt = ell_max + 1
-    x = ps ** (-sigma0)
-    if k == 0:
-        t = x**nxt / nxt
-        q = x
-    else:
-        t = float(nxt) ** (k - 1) * np.log(ps) ** k * x**nxt
-        q = x * ((nxt + 1) / nxt) ** (k - 1)
+    t, q = _tail_terms(ps ** (-sigma0), np.log(ps), k, ell_max + 1)
     if np.any(q >= 1.0):
         return math.inf
     return float(np.sum(t / (1.0 - q)))
@@ -229,28 +252,57 @@ def _tail_bound(ps: np.ndarray, k: int, sigma0: float, ell_max: int) -> float:
 def log_euler_deriv(primes, spec: LogDerivSpec, theta: PhaseAssignment) -> LogDerivResult:
     """k-th derivative at sigma0 of the log of the twisted Euler product.
 
-    Expands log(1 - e(-theta_p) p^(-s))^(-1) into prime powers and truncates
-    the power index at ell_max; the dropped tail is bounded rigorously and
-    returned alongside the value. Terms individually below a fraction of the
-    tolerance are skipped and charged to the reported bound.
+    Expands log(1 - e(-theta_p) p^(-s))^(-1) into prime powers,
+    (-1)^k sum over p and ell <= ell_max of e(-ell theta_p) mag(ell, p) with
+    mag = (ell log p)^k p^(-ell sigma0) / ell, and sums every term in one
+    pass. The returned bound covers all that the value leaves out or rounds:
+
+    - the power tail ell > ell_max (`_tail_bound`);
+    - a cut per power: every prime has mag <= lead p^(-s), with
+      lead = (ell log p_max)^k / ell and s = ell sigma0, and that is at most
+      drop_tol = tol 1e-3 / (ell_max * #primes) from p = x_ell on. The
+      primes from the first one past the cut, a, are charged in closed
+      form, at the smaller of count * lead a^(-s) and
+      lead (a^(-s) + a^(1-s) / (s - 1)) (s > 1);
+    - the terms before the cut that are still at most drop_tol, charged at
+      their size;
+    - rounding, at most (15 y + 13 ell + 13 k + 110 + 1.5 log2 N) u mag per
+      term, with u = 2^-53, N the number of terms and y = ell sigma0 log p.
+      The exponent y is rounded and exp amplifies that; the twist's angle
+      ell theta_p is rounded at the scale of ell. log, exp, pow, cos and sin
+      are taken at 4 ulp, a pairwise sum of N terms at (log2 N + 26) u times
+      the sum of their sizes, and real and imaginary errors are added.
     """
     ps = np.sort(_as_array(primes, np.int64)).astype(float)
     if ps.size == 0:
         return LogDerivResult(0j, 0.0)
     k, sigma0 = spec.k, spec.sigma0
     ell_max = spec.ell_max or default_ell_max(ps, k, sigma0, spec.tol)
+    n = len(ps)
     logs = np.log(ps)
-    th = theta.phases_for(ps)
-    drop_tol = spec.tol * 1e-3 / (ell_max * max(len(ps), 1))
-    sign = (-1.0) ** k
-    value = 0j
-    dropped = 0.0
-    for ell in range(1, ell_max + 1):
-        mag = (ell * logs) ** k * ps ** (-ell * sigma0) / ell
-        active = mag > drop_tol
-        if np.any(active):
-            value += sign * np.sum(np.exp(-2j * np.pi * ell * th[active]) * mag[active])
-            dropped += float(np.sum(mag[~active]))
-        else:
-            dropped += float(np.sum(mag))
-    return LogDerivResult(complex(value), _tail_bound(ps, k, sigma0, ell_max) + dropped)
+    drop_tol = spec.tol * 1e-3 / (ell_max * n)
+    ells = np.arange(1.0, ell_max + 1.0)
+    s = ells * sigma0
+    lead = (ells * logs[-1]) ** k / ells
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        cut = np.searchsorted(ps, np.exp(np.log(lead / drop_tol) / s))
+        past = cut < n
+        a, s_p, lead_p = ps[cut[past]], s[past], lead[past]
+        head = lead_p * a ** (-s_p)
+        integral = np.where(s_p > 1.0, head + lead_p * a ** (1.0 - s_p) / (s_p - 1.0), math.inf)
+        charged = float(np.sum(np.minimum((n - cut[past]) * head, integral)))
+    # the (ell, p) pairs before each cut, ell-major
+    ell_at = np.repeat(ells, cut)
+    p_at = np.arange(len(ell_at)) - np.repeat(np.cumsum(cut) - cut, cut)
+    lp = logs[p_at]
+    expo = ell_at * sigma0 * lp
+    mag = (ell_at * lp) ** k * np.exp(-expo) / ell_at
+    small = mag <= drop_tol
+    charged += float(np.sum(mag[small]))
+    mag[small] = 0.0
+    turns = ell_at * theta.phases_for(ps)[p_at]
+    angle = 2.0 * np.pi * (turns - np.floor(turns))
+    value = (-1.0) ** k * complex(np.sum(mag * np.cos(angle)), -np.sum(mag * np.sin(angle)))
+    rounding = _U * (15.0 * float(np.dot(mag, expo)) + 13.0 * float(np.dot(mag, ell_at))
+                     + (13 * k + 110 + 1.5 * math.log2(max(len(mag), 1))) * float(np.sum(mag)))
+    return LogDerivResult(value, _tail_bound(ps, k, sigma0, ell_max) + charged + rounding)

@@ -36,7 +36,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import loggamma
 
 from .errors import (
     BoundaryZeroError,
@@ -536,6 +535,8 @@ def _log_sin(z: np.ndarray) -> np.ndarray:
 
 def chi_factor(s) -> np.ndarray:
     """chi(s) = 2^s pi^(s-1) sin(pi s / 2) Gamma(1 - s), computed in logs."""
+    from scipy.special import loggamma  # scipy is loaded only where it is used
+
     s = np.asarray(s, dtype=complex)
     logchi = (
         s * math.log(2.0)
@@ -548,6 +549,8 @@ def chi_factor(s) -> np.ndarray:
 
 def siegel_theta(t) -> np.ndarray:
     """Riemann-Siegel theta: Im log Gamma(1/4 + it/2) - (t/2) log pi."""
+    from scipy.special import loggamma
+
     t = np.asarray(t, dtype=float)
     return loggamma(0.25 + 0.5j * t).imag - 0.5 * t * math.log(math.pi)
 

@@ -1,6 +1,7 @@
 import cmath
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -144,6 +145,86 @@ def test_default_ell_max_controls_tail():
         value, bound = log_euler_deriv(table.primes, LogDerivSpec(k, 0.6, tol=1e-14), theta)
         deep, _ = log_euler_deriv(table.primes, LogDerivSpec(k, 0.6, ell_max=400), theta)
         assert abs(value - deep) <= bound
+
+
+def doubling_depth(ps, k, sigma0, tol):
+    """The earlier depth search: double from max(2, k + 1), then bisect."""
+    if ps.size == 0:
+        return 1
+    below = lambda ell: _tail_bound(ps, k, sigma0, ell) < tol
+    hi = max(2, k + 1)
+    lo = hi - 1
+    while not below(hi):
+        if hi >= 10_000:
+            return hi
+        lo, hi = hi, min(2 * hi, 10_000)
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (lo, mid) if below(mid) else (mid, hi)
+    return hi
+
+
+def test_default_ell_max_matches_doubling_search():
+    """Starting at the smallest prime's own tail term changes no depth."""
+    for top in (2, 10, 1000, 60000):
+        primes = primes_up_to(top).primes.astype(float)
+        for drop in (0, 1, 3):
+            ps = primes[drop:]
+            for k in range(4):
+                for sigma0 in (0.51, 0.6, 0.75, 0.9, 1.0):
+                    for tol in (1e-13, 1e-14, 1e-15):
+                        want = doubling_depth(ps, k, sigma0, tol)
+                        assert default_ell_max(ps, k, sigma0, tol) == want, (top, drop, k, sigma0, tol)
+
+
+def per_ell_sum(ps, k, sigma0, theta, ell_max, drop_tol=0.0):
+    """Prime-power sum one power at a time, skipping terms at most drop_tol."""
+    ps = np.asarray(ps, dtype=float)
+    logs, th = np.log(ps), theta.phases_for(ps)
+    total = 0j
+    for ell in range(1, ell_max + 1):
+        mag = (ell * logs) ** k * ps ** (-ell * sigma0) / ell
+        keep = mag > drop_tol
+        total += np.sum(np.exp(-2j * np.pi * ell * th[keep]) * mag[keep])
+    return (-1) ** k * total
+
+
+def test_cut_sum_matches_per_ell_reference():
+    """The one-pass sum with its cut per power agrees with a per-power sum
+    that drops the same small terms, and with one that drops none, to within
+    its reported bound."""
+    table = primes_up_to(60000)
+    rng = np.random.default_rng(14)
+    theta = alternating_phases(table).merged(
+        PhaseAssignment._from_sorted(table.primes[::7], rng.uniform(size=len(table.primes[::7]))))
+    for k in (0, 1):
+        for sigma0 in (0.6, 0.75, 0.9):
+            spec = LogDerivSpec(k, sigma0, ell_max=220)
+            value, bound = log_euler_deriv(table.primes, spec, theta)
+            drop_tol = spec.tol * 1e-3 / (220 * len(table.primes))
+            reference = per_ell_sum(table.primes, k, sigma0, theta, 220, drop_tol)
+            deep = per_ell_sum(table.primes, k, sigma0, theta, 300)
+            assert abs(value - reference) <= bound
+            assert abs(value - deep) <= bound
+
+
+@pytest.mark.parametrize("k", [0, 1, 2])
+@pytest.mark.parametrize("sigma0", [0.6, 0.9])
+def test_log_euler_deriv_bound_holds_against_mpmath(k, sigma0):
+    """At the default depth the reported bound covers the true error of the
+    value, rounding included, against the infinite series at 40 digits:
+    the k-th derivative of -log(1 - y) with y = e(-theta_p) p^(-s) is
+    (-log p)^k Li_{1-k}(y)."""
+    table = primes_up_to(1000)
+    theta = alternating_phases(table)
+    value, bound = log_euler_deriv(table.primes, LogDerivSpec(k, sigma0, tol=1e-14), theta)
+    with mpmath.workdps(40):
+        exact = mpmath.mpf(0)
+        for p, turns in theta.items():
+            y = (-1) ** round(2 * turns) * mpmath.mpf(p) ** (-mpmath.mpf(sigma0))
+            exact += (-mpmath.log(p)) ** k * mpmath.polylog(1 - k, y)
+        err = float(abs(mpmath.mpc(value) - exact))
+    assert err <= bound
 
 
 def test_log_vs_linear_proxy_bound():

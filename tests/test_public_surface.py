@@ -4,7 +4,10 @@ import is unused, and the benchmark's traced run still finds what it wraps."""
 import ast
 import importlib
 import importlib.util
+import os
 import pkgutil
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -69,3 +72,13 @@ def test_benchmark_spans_resolve():
     missing = [(module, name) for module, name, _ in tracing.SPANNED
                if not hasattr(importlib.import_module(f"zetascope.{module}"), name)]
     assert tracing.SPANNED and missing == []
+
+
+def test_scipy_stays_off_the_import_path():
+    """Importing the package and evaluating zeta loads no scipy; only
+    chi_factor, siegel_theta and what calls them import it."""
+    src = str(Path(zetascope.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = "import sys, zetascope; zetascope.zeta(2.0); print('scipy' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "False"
