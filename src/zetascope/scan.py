@@ -11,9 +11,8 @@ the differentiated Dirichlet sums; 4096 for the value mode, one zeta
 target, whose chunk is one progression for the factored main sum), and the
 log mode gets log zeta itself by continuation along the scan line. Grid
 dips are then polished by nested local refinement of all candidates in
-lockstep, one objective call per level, and every refined candidate is
-re-verified in one more call (the log mode on circles of doubled
-quadrature order, the value mode at a tighter tolerance). Candidate
+lockstep, one objective call per level, and one more call of the same
+objective on the refined shifts gives each hit its residuals. Candidate
 selection keeps a first-order safety margin so a sharp minimum sitting
 between grid points is still caught.
 """
@@ -46,7 +45,7 @@ __all__ = [
     "density_estimate",
 ]
 
-MAX_ORDER_LOG = 8    # factorial noise amplification past this defeats eps
+MAX_ORDER_LOG = 8    # log Taylor kernel bounds, checked against mpmath to order 7
 MAX_ORDER_ZETA = 12  # Taylor kernel bounds, growing like (log N)^k, checked to order 11
 # grid points per objective call: one batch shape, whatever the thread count
 _CHUNK = 64  # derivative modes
@@ -212,20 +211,19 @@ def _run_scan(objective, grid: np.ndarray, window: ScanWindow, sigma0: float,
               mode: str, threads: int, chunk: int = _CHUNK) -> ScanResult:
     """Shared driver: evaluate the grid, refine candidates, verify hits.
 
-    objective(taus, verify) returns (residuals, reasons) at an array of
-    shifts of any shape: residuals[i] = |derivs - targets| at the i-th shift
-    in ravel order, a row of inf where the shift could not be evaluated, and
-    reasons maps those rows to why. verify=True asks for the final verdict,
-    at doubled quadrature order or tighter tolerance where the mode has one.
-    The grid goes to the objective in chunks of `chunk` points, shared over
-    `threads` workers; the chunks do not depend on the thread count, so
-    neither do the hits. All candidates are refined
-    together (`_refine_all`) and verified in one call; each hit's wall_time
-    is the time of that whole refine-and-verify batch.
+    objective(taus) returns (residuals, reasons) at an array of shifts of
+    any shape: residuals[i] = |derivs - targets| at the i-th shift in ravel
+    order, a row of inf where the shift could not be evaluated, and reasons
+    maps those rows to why. The grid goes to the objective in chunks of
+    `chunk` points, shared over `threads` workers; the chunks do not depend
+    on the thread count, so neither do the hits. All candidates are refined
+    together (`_refine_all`), and one more call on the refined shifts gives
+    each hit its residuals; each hit's wall_time is the time of that whole
+    refine-and-verify batch.
     """
     t_start = time.monotonic()
     starts = range(0, len(grid), chunk)
-    eval_chunk = lambda a: objective(grid[a : a + chunk], verify=False)
+    eval_chunk = lambda a: objective(grid[a : a + chunk])
     if threads == 1:
         # in this thread: a worker thread gets its own malloc arena,
         # about 4 MiB more peak RSS on a single-threaded scan
@@ -241,15 +239,14 @@ def _run_scan(objective, grid: np.ndarray, window: ScanWindow, sigma0: float,
     skipped = [{"tau": float(grid[i]), "reason": reasons[i]} for i in sorted(reasons)]
 
     def max_residual(taus):
-        return np.max(objective(taus, verify=False)[0], axis=1)
+        return np.max(objective(taus)[0], axis=1)
 
     hits = []
     candidates = _candidate_indices(vals, window.eps)
     if candidates:
         t0 = time.monotonic()
         refined, _ = _refine_all(grid[candidates], max_residual, window.step)
-        # fresh evaluation at doubled quadrature order for the final verdict
-        residuals, why = objective(refined, verify=True)
+        residuals, why = objective(refined)
         batch_time = time.monotonic() - t0
         for i, tau in enumerate(refined.tolist()):
             if i in why:
@@ -280,11 +277,10 @@ def scan_derivs(targets, sigma0: float, window: ScanWindow, *, mode: str = "log"
     chunk of shifts; the log mode turns them into log-zeta derivatives and
     continues log zeta along the line. A single zeta target, whose residual
     |zeta - targets[0]| needs no derivative, goes to `zeta_array`. A log-mode
-    chunk whose continuation fails goes point by point through the circles
-    of `log_zeta_derivs`; points where its circle meets a zero are skipped
-    and recorded. Hits are verified together, the log mode's point by point.
-    The zeta mode needs a nonzero constant target (a zero one would ask the
-    scan to find a zeta zero off the critical line).
+    chunk whose continuation fails goes one shift at a time through
+    `log_zeta_derivs`; shifts where it fails are skipped and recorded. Hits
+    are verified together. The zeta mode needs a nonzero constant target (a
+    zero one would ask the scan to find a zeta zero off the critical line).
     """
     if mode not in ("log", "zeta"):
         raise ValueError(f"unknown scan mode {mode!r}; use 'log' or 'zeta'")
@@ -304,34 +300,29 @@ def scan_derivs(targets, sigma0: float, window: ScanWindow, *, mode: str = "log"
 
     chunk = _CHUNK
     if mode == "log":
-        def per_point(taus, nodes):
+        def objective(taus):
+            taus = np.ravel(taus)
+            try:
+                return np.abs(_log_zeta_line_derivs(n - 1, sigma0, taus)[0] - b), {}
+            except PathThroughZeroError:
+                pass  # this chunk goes one shift at a time, recording skips
             resid, reasons = np.full((len(taus), n), math.inf), {}
             for i, tau in enumerate(taus):
                 try:
-                    derivs, _ = log_zeta_derivs(n - 1, sigma0, float(tau), nodes=nodes)
-                    resid[i] = np.abs(derivs - b)
+                    resid[i] = np.abs(log_zeta_derivs(n - 1, sigma0, float(tau))[0] - b)
                 except PathThroughZeroError as exc:
                     reasons[i] = str(exc)
             return resid, reasons
-
-        def objective(taus, verify=False):
-            taus = np.ravel(taus)
-            if not verify:
-                try:
-                    return np.abs(_log_zeta_line_derivs(n - 1, sigma0, taus)[0] - b), {}
-                except PathThroughZeroError:
-                    pass  # this chunk goes point by point, recording skips
-            return per_point(taus, 128 if verify else 64)
     elif n > 1:
-        def objective(taus, verify=False):
+        def objective(taus):
             derivs = _zeta_taylor(sigma0 + 1j * np.ravel(taus), n - 1)[0]
             return np.abs(derivs - b), {}
     else:
         # a single target is matched by the value itself: no derivatives;
         # the shape of taus reaches zeta_array, which factors rows of progressions
-        def objective(taus, verify=False):
+        def objective(taus):
             s = sigma0 + 1j * np.asarray(taus)
-            return np.abs(zeta_array(s, tol=1e-13 if verify else 1e-11) - b[0]).reshape(-1, 1), {}
+            return np.abs(zeta_array(s) - b[0]).reshape(-1, 1), {}
         chunk = _VALUE_CHUNK
 
     return _run_scan(objective, window.grid(), window, sigma0, mode, threads, chunk)

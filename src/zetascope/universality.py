@@ -113,7 +113,7 @@ def choose_taylor_degree(m_g: float, delta0: float, eps: float) -> int:
 def taylor_coeffs(g, s0: complex, r_c: float, n: int, *, return_error: bool = False):
     """Derivatives g^(k)(s0) for k < n by trapezoidal circle quadrature.
 
-    Runs the shared Cauchy-circle kernel `zeta_engine._circle_derivs`,
+    Runs the Cauchy-circle kernel `zeta_engine._circle_derivs`,
     doubling the node count until two successive estimates agree to 1e-10
     relative to the largest derivative. High orders on small circles
     amplify evaluation noise by k!/r_c^k, so doubling also stops once the

@@ -12,16 +12,17 @@ sum. An evenly spaced input is ceil(L / M) centres plus M = ceil(sqrt L)
 steps, so about 2 sqrt(L) exponentials per n serve L points, and K rows of
 L points, each a progression with one common step, are K ceil(L / M)
 centres plus the same M steps; any other input is its own centres with the
-one offset 0. One core, `_zeta_eval`, holds the truncation and retry policy
-of the certified `zeta` and `zeta_array`; its pole and envelope checks and
-starting truncation point (`_truncation`) also serve the Taylor kernel.
-Zeta's own Taylor data comes from the Euler-Maclaurin formula
-differentiated in s, `_zeta_taylor`: the right factor is the power table
-(-log n)^k / k!, the tail is a power series, and each order carries an
-error bound. `zeta_derivs` runs it on one centre, the scans on a chunk of
-grid points. Cauchy circles with node doubling (`_circle_derivs`) remain
-for functions known only by their values: the tracked log zeta of
-`log_zeta_derivs` and the targets of `universality.taylor_coeffs`.
+one offset 0. One core, `_zeta_eval`, makes one pass for the certified
+`zeta` and `zeta_array` and refuses a tolerance that pass cannot certify;
+its pole and envelope checks and truncation point (`_truncation`) also
+serve the Taylor kernel. Zeta's own Taylor data comes from the
+Euler-Maclaurin formula differentiated in s, `_zeta_taylor`: the right
+factor is the power table (-log n)^k / k!, the tail is a power series, and
+each order carries an error bound. `zeta_derivs` runs it on one centre, the
+scans on a chunk of grid points, and `_log_zeta_line_derivs` turns it into
+log zeta derivatives, which `log_zeta_derivs` serves at one point. Cauchy
+circles with node doubling (`_circle_derivs`) remain only for functions
+known by their values alone: the targets of `universality.taylor_coeffs`.
 
 Branch convention: log zeta is the principal branch on the real segment
 (1, inf) and is continued along horizontal segments from sigma = 10, where
@@ -214,31 +215,27 @@ def _centres_offsets(s: np.ndarray):
 def _zeta_eval(s: np.ndarray, tol: float):
     """The certified evaluator: (values, error estimates, truncation point) at s.
 
-    Values and estimates are flat, in the order of s.ravel(). Retries with
-    longer sums until every estimate is within tol, and refuses before a
-    pass whose rounding floor already exceeds tol. An evenly spaced s, or
-    rows of progressions with one common step, is summed as centres times
-    offsets (`_centres_offsets`).
+    Values and estimates are flat, in the order of s.ravel(). One pass at
+    `_truncation`'s point with 30 Bernoulli terms: it refuses before the
+    pass when the rounding floor already exceeds tol, and after it when any
+    estimate does. An evenly spaced s, or rows of progressions with one
+    common step, is summed as centres times offsets (`_centres_offsets`).
     """
     flat = s.ravel()
     n_trunc = _truncation(flat)
-    n_bern = 30
+    floor = float(np.max(_em_floor(flat.real, n_trunc)))
+    if floor > tol:
+        raise ToleranceUnreachableError(
+            f"could not certify tolerance {tol:g} (rounding floor {floor:.3g} "
+            f"at {n_trunc} terms)"
+        )
     centres, offsets, index = _centres_offsets(s)
-    for _ in range(4):
-        floor = float(np.max(_em_floor(flat.real, n_trunc)))
-        if floor > tol:
-            raise ToleranceUnreachableError(
-                f"could not certify tolerance {tol:g} (rounding floor {floor:.3g} "
-                f"at {n_trunc} terms)"
-            )
-        vals, err = (a.ravel()[index] for a in _em_eval(centres, n_trunc, n_bern, offsets))
-        if float(np.max(err)) <= tol:
-            return vals, err, n_trunc
-        n_trunc = int(n_trunc * 1.8) + 16
-        n_bern = min(n_bern + 8, 60)
-    raise ToleranceUnreachableError(
-        f"could not certify tolerance {tol:g} (max error {float(np.max(err)):.3g})"
-    )
+    vals, err = (a.ravel()[index] for a in _em_eval(centres, n_trunc, 30, offsets))
+    if float(np.max(err)) > tol:
+        raise ToleranceUnreachableError(
+            f"could not certify tolerance {tol:g} (max error {float(np.max(err)):.3g})"
+        )
+    return vals, err, n_trunc
 
 
 def zeta_array(s, tol: float = 1e-11) -> np.ndarray:
@@ -267,10 +264,10 @@ def _zeta_taylor(centres: np.ndarray, kmax: int):
     power table of -log n (`_blocked_sum`), and its tail
     N^-c e^(-u log N) [N / (c - 1 + u) + 1/2 + sum_j beta_j (c + u)(c + 1 + u)
     ... (c + 2j - 2 + u) N^(1 - 2j)] is a power series in u = s - c. N is
-    `_truncation`'s and there are 30 Bernoulli terms, as in the first pass of
-    `_zeta_eval`. Returns (derivs, err), both (len(centres), kmax + 1). err
-    adds a Cauchy majorant of the remainder on the circle |s - c| = k / log N,
-    the rounding floor eps sum_n (log n)^k n^-sigma (log2 N + 2 |t| log n),
+    `_truncation`'s and there are 30 Bernoulli terms, as in `_zeta_eval`.
+    Returns (derivs, err), both (len(centres), kmax + 1). err adds a Cauchy
+    majorant of the remainder on the circle |s - c| = k / log N, the
+    rounding floor eps sum_n (log n)^k n^-sigma (log2 N + 2 |t| log n),
     whose second term is the rounding of the phase t log n, and the rounding
     of the tail, which near the pole at s = 1 is most of zeta^(k).
     """
@@ -418,52 +415,37 @@ def _circle_derivs(f, radius: float, kmax: int, nodes: int, rounds: int):
         m *= 2
 
 
-def _circle_log_values(center: complex, radius: float, phis: np.ndarray) -> np.ndarray:
-    """Branch-consistent log zeta at the circle nodes of angles phis.
-
-    Anchors the branch at angle 0 via horizontal tracking, then continues
-    around the circle (phis ascending from 0, tracked on to 2 pi). A nonzero
-    net winding means the circle encloses a zero, which invalidates any
-    log-based contour use.
-    """
-    anchor = log_zeta_tracked(center.real + radius, center.imag)
-    pts_fn = lambda ph: center + radius * np.exp(1j * ph)
-    params, vals, steps = _adaptive_track(pts_fn, np.append(phis, 2.0 * math.pi), max_step=0.9)
-    cum = np.concatenate([[0.0], np.cumsum(steps)])
-    if abs(cum[-1]) > 0.5:
-        raise PathThroughZeroError(
-            f"circle around {center:g} (r={radius:g}) encloses a zero "
-            f"(net winding {cum[-1] / (2 * math.pi):.2f})"
-        )
-    idx = np.searchsorted(params, phis)
-    # real part of the anchor must match log|zeta| at angle 0 by construction
-    return np.log(np.abs(vals[idx])) + 1j * (anchor.imag + cum[idx])
-
-
-def log_zeta_derivs(kmax: int, sigma0: float, t: float, radius: float | None = None,
-                    nodes: int = 64, settle: float = 1e-11) -> tuple[np.ndarray, float]:
+def log_zeta_derivs(kmax: int, sigma0: float, t: float,
+                    radius: float | None = None) -> tuple[np.ndarray, float]:
     """Derivatives d^k/ds^k log zeta at sigma0 + i t for k = 0..kmax.
 
-    Cauchy circle quadrature of the tracked logarithm; the trapezoidal rule
-    on a circle is spectrally accurate, and node doubling continues until
-    successive derivative sets agree to `settle`. Returns (array of k+1
-    values, estimated error).
+    The kernel `_log_zeta_line_derivs` on the one shift t. Returns (array of
+    k+1 values, that kernel's error bound of the k >= 1 values). First zeta
+    is tracked once around the circle |s - sigma0 - i t| = radius (default
+    0.8 (sigma0 - 1/2), at most half the distance to the pole); a net
+    winding there means the disk holds a zero, so log zeta is not analytic
+    on it, and raises PathThroughZeroError.
     """
+    center = complex(sigma0, t)
     if radius is None:
         radius = 0.8 * (sigma0 - 0.5)
-    radius = min(radius, 0.5 * abs(complex(sigma0, t) - 1.0))
+    radius = min(radius, 0.5 * abs(center - 1.0))
     if radius <= 0:
         raise ValueError("radius must be positive (sigma0 too close to 1/2?)")
-    center = complex(sigma0, t)
-    f = lambda phis: _circle_log_values(center, radius, phis)
-    for derivs, change in _circle_derivs(f, radius, kmax, nodes, 5):
-        if change < settle * (1.0 + np.max(np.abs(derivs))):
-            break
-    return derivs, change
+    _, _, steps = _adaptive_track(lambda ph: center + radius * np.exp(1j * ph),
+                                  np.linspace(0.0, 2.0 * math.pi, 65), max_step=0.9)
+    winding = float(np.sum(steps))
+    if abs(winding) > 0.5:
+        raise PathThroughZeroError(
+            f"circle around {center:g} (r={radius:g}) encloses a zero "
+            f"(net winding {winding / (2 * math.pi):.2f})"
+        )
+    derivs, err = _log_zeta_line_derivs(kmax, sigma0, [t])
+    return derivs[0], float(err[0])
 
 
 def _log_zeta_line_derivs(kmax: int, sigma0: float, taus) -> tuple[np.ndarray, np.ndarray]:
-    """log_zeta_derivs at sigma0 + i tau for every tau of a short run, in one batch.
+    """d^k/ds^k log zeta at sigma0 + i tau, k <= kmax, for every tau of a run, in one batch.
 
     For k >= 1 the Taylor coefficients a_j of zeta at the points (one
     batched `_zeta_taylor` call) give those of log zeta by the
@@ -472,9 +454,9 @@ def _log_zeta_line_derivs(kmax: int, sigma0: float, taus) -> tuple[np.ndarray, n
     from log_zeta_tracked at the lowest tau and checked against
     log_zeta_tracked at the highest; they differ by 2 pi times the number of
     zeros in [sigma0, 10] x [min tau, max tau]. A mismatch or a failed
-    continuation raises PathThroughZeroError. Zeros left of the line, inside
-    the circle of log_zeta_derivs, are not seen (none exist off the critical
-    line).
+    continuation raises PathThroughZeroError. Zeros left of the line are not
+    seen (none exist off the critical line); `log_zeta_derivs` checks a disk
+    around its one point.
 
     Returns (derivs of shape (len(taus), kmax + 1), per tau a first-order
     error bound of the k >= 1 values: the largest error bound of the zeta
@@ -796,8 +778,8 @@ def selberg_zeta_prime_over_zeta(s: complex, spec: SelbergSpec) -> tuple[complex
     """zeta'/zeta(s) via the explicit formula, and its residual.
 
     -sum Lambda_x(n) n^-s + sum_z m_z K(s, z) / log x. The residual compares
-    against the direct Cauchy-circle derivative of the tracked logarithm, a
-    fully independent evaluation path.
+    against `log_zeta_derivs`, from the Euler-Maclaurin Taylor data of zeta,
+    a path independent of the explicit formula.
     """
     s = complex(s)
     spec.check_coverage(s.imag)

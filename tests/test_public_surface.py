@@ -32,7 +32,9 @@ def test_quadrature_module_is_gone():
 def test_removed_names_stay_removed():
     """log_zeta_derivs(k, ...)[0][k] replaced log_zeta_deriv; SelbergSpec.q_max had no reader;
     the disk check samples the boundary circle, so its polar grid knobs are gone;
-    zeta_derivs differentiates the Dirichlet sums, so it has no circle knobs."""
+    zeta_derivs differentiates the Dirichlet sums, so it has no circle knobs;
+    log_zeta_derivs runs the log Taylor kernel, so its circle knobs and the
+    tracked log on a circle are gone."""
     import inspect
     from dataclasses import fields
 
@@ -44,6 +46,8 @@ def test_removed_names_stay_removed():
     for func in (universality.check_disk_approximation, universality.run_universality):
         assert not {"rings", "angles"} & set(inspect.signature(func).parameters)
     assert not {"radius", "nodes"} & set(inspect.signature(zeta_engine.zeta_derivs).parameters)
+    assert not {"nodes", "settle"} & set(inspect.signature(zeta_engine.log_zeta_derivs).parameters)
+    assert not hasattr(zeta_engine, "_circle_log_values")
 
 
 SOURCES = sorted(p for p in Path(zetascope.__file__).parent.glob("*.py") if p.name != "__init__.py")

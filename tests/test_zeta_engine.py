@@ -335,48 +335,26 @@ def test_evaluator_memory_is_bounded_per_block(evaluate):
     assert peak <= 24 * 2**20
 
 
-def test_log_zeta_derivs_returns_when_rounds_run_out():
-    """Near the critical line at height the node doubling ends unsettled:
-    the last round is returned with its change as the error, not raised."""
-    derivs, err = log_zeta_derivs(3, 0.55, 2000.0)
-    assert derivs.shape == (4,)
-    assert err > 1e-11 * (1.0 + float(np.max(np.abs(derivs))))
+def _one_shift(kmax, sigma, taus):
+    rows = [log_zeta_derivs(kmax, sigma, t) for t in taus]
+    return np.array([d for d, _ in rows]), np.array([e for _, e in rows])
 
 
-def _mp_arg_change(t, a, b, za, zb):
-    step = float(mp.arg(zb / za))
-    if abs(step) <= 0.3:
-        return step
-    m = 0.5 * (a + b)
-    zm = mp.zeta(mp.mpc(m, t))
-    return _mp_arg_change(t, a, m, za, zm) + _mp_arg_change(t, m, b, zm, zb)
-
-
-def _mp_log_zeta_derivs(sigma, t):
-    """log zeta, (log zeta)' and (log zeta)'' at sigma + i t from mpmath at 30
-    digits; the argument is continued from sigma = 10 along Im s = t."""
-    with mp.workdps(30):
-        xs = np.linspace(10.0, sigma, 9)
-        zs = [mp.zeta(mp.mpc(x, t)) for x in xs]
-        arg = float(mp.arg(zs[0])) + sum(
-            _mp_arg_change(t, a, b, za, zb) for a, b, za, zb in zip(xs, xs[1:], zs, zs[1:])
-        )
-        s = mp.mpc(sigma, t)
-        z0, z1, z2 = (mp.zeta(s, derivative=k) for k in range(3))
-        return np.array([complex(mp.log(abs(z0)), arg), complex(z1 / z0),
-                         complex(z2 / z0 - (z1 / z0) ** 2)])
-
-
-@pytest.mark.parametrize("tau", [500.0, 2000.0, 5000.0])
-def test_batched_log_derivs_against_mpmath(tau):
-    """Oracle: the batched log-zeta derivatives of a run of shifts, k <= 2;
-    for k >= 1 the reported error is a bound."""
+@pytest.mark.parametrize("one_shift, kmax, tau", [
+    (False, 2, 500.0), (False, 2, 2000.0), (False, 2, 5000.0),
+    (True, 2, 500.0), (True, 2, 2000.0), (True, 2, 5000.0), (True, 7, 2000.0),
+], ids=["500.0", "2000.0", "5000.0",
+        "one-shift-500.0", "one-shift-2000.0", "one-shift-5000.0", "one-shift-k7-2000.0"])
+def test_batched_log_derivs_against_mpmath(one_shift, kmax, tau, mp_log_zeta_derivs):
+    """Oracle: log-zeta derivatives of a run of shifts, batched or one shift
+    at a time through log_zeta_derivs; for k >= 1 the reported error is a
+    bound, up to the order cap of the log scan."""
     from zetascope.zeta_engine import _log_zeta_line_derivs
 
     taus = tau + np.array([0.0, 0.15, 0.3])
-    derivs, err = _log_zeta_line_derivs(2, 0.75, taus)
+    derivs, err = (_one_shift if one_shift else _log_zeta_line_derivs)(kmax, 0.75, taus)
     for t, d, e in zip(taus, derivs, err):
-        ref = _mp_log_zeta_derivs(0.75, t)
+        ref = mp_log_zeta_derivs(0.75, t, kmax)
         assert np.max(np.abs(d[1:] - ref[1:])) <= e, t
         # log zeta itself carries the error of the zeta value
         assert abs(d[0] - ref[0]) <= max(e, 1e-9 * (1.0 + np.max(np.abs(d)))), t
