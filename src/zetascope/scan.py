@@ -9,12 +9,13 @@ array of shifts of any shape: the grid goes to it in fixed chunks, each
 evaluated in one batch (64 points, whose zeta Taylor data is one call of
 the differentiated Dirichlet sums; 4096 for the value mode, one zeta
 target, whose chunk is one progression for the factored main sum), and the
-log mode gets log zeta itself by continuation along the scan line. Grid
-dips are then polished by nested local refinement of all candidates in
-lockstep, one objective call per level, and one more call of the same
-objective on the refined shifts gives each hit its residuals. Candidate
-selection keeps a first-order safety margin so a sharp minimum sitting
-between grid points is still caught.
+log mode looks log zeta itself up in one branch table of the scan line,
+built once per window before the chunks. Grid dips are then polished by
+nested local refinement of all candidates in lockstep, one objective call
+per level, and one more call of the same objective on the refined shifts
+gives each hit its residuals. Candidate selection keeps a first-order
+safety margin so a sharp minimum sitting between grid points is still
+caught.
 """
 
 from __future__ import annotations
@@ -28,6 +29,7 @@ import numpy as np
 
 from .errors import PathThroughZeroError, WindowConstraintError, ZeroConstantTermError
 from .zeta_engine import (
+    _log_zeta_line,
     _log_zeta_line_derivs,
     _zeta_taylor,
     log_zeta_derivs,
@@ -275,12 +277,17 @@ def scan_derivs(targets, sigma0: float, window: ScanWindow, *, mode: str = "log"
     window tolerance become verified hits. Zeta derivatives come from the
     differentiated Dirichlet sums (`zeta_engine._zeta_taylor`), one call per
     chunk of shifts; the log mode turns them into log-zeta derivatives and
-    continues log zeta along the line. A single zeta target, whose residual
-    |zeta - targets[0]| needs no derivative, goes to `zeta_array`. A log-mode
-    chunk whose continuation fails goes one shift at a time through
-    `log_zeta_derivs`; shifts where it fails are skipped and recorded. Hits
-    are verified together. The zeta mode needs a nonzero constant target (a
-    zero one would ask the scan to find a zeta zero off the critical line).
+    takes log zeta itself from one branch table of the line
+    (`zeta_engine._log_zeta_line`), built before the chunks over the grid
+    widened by a step each side, which holds every shift refinement tries.
+    A call with a shift the table cannot serve anchors a table of its own
+    run, as does every call when the window's table cannot be built. A
+    single zeta target, whose residual |zeta - targets[0]| needs no
+    derivative, goes to `zeta_array`. A log-mode chunk whose own table fails
+    goes one shift at a time through `log_zeta_derivs`; shifts where it
+    fails are skipped and recorded. Hits are verified together. The zeta
+    mode needs a nonzero constant target (a zero one would ask the scan to
+    find a zeta zero off the critical line).
     """
     if mode not in ("log", "zeta"):
         raise ValueError(f"unknown scan mode {mode!r}; use 'log' or 'zeta'")
@@ -298,12 +305,20 @@ def scan_derivs(targets, sigma0: float, window: ScanWindow, *, mode: str = "log"
     if threads < 1:
         raise ValueError("threads must be at least 1")
 
-    chunk = _CHUNK
+    grid, chunk = window.grid(), _CHUNK
     if mode == "log":
+        # refinement stays within one step of a grid point, so the branch
+        # table of the grid widened by a step each side serves every call
+        try:
+            line = _log_zeta_line(sigma0, np.concatenate(
+                [[grid[0] - window.step], grid, [grid[-1] + window.step]]))
+        except PathThroughZeroError:
+            line = None  # every call anchors its own run
+
         def objective(taus):
             taus = np.ravel(taus)
             try:
-                return np.abs(_log_zeta_line_derivs(n - 1, sigma0, taus)[0] - b), {}
+                return np.abs(_log_zeta_line_derivs(n - 1, sigma0, taus, line=line)[0] - b), {}
             except PathThroughZeroError:
                 pass  # this chunk goes one shift at a time, recording skips
             resid, reasons = np.full((len(taus), n), math.inf), {}
@@ -325,7 +340,7 @@ def scan_derivs(targets, sigma0: float, window: ScanWindow, *, mode: str = "log"
             return np.abs(zeta_array(s) - b[0]).reshape(-1, 1), {}
         chunk = _VALUE_CHUNK
 
-    return _run_scan(objective, window.grid(), window, sigma0, mode, threads, chunk)
+    return _run_scan(objective, grid, window, sigma0, mode, threads, chunk)
 
 
 def scan_log_derivs(targets, sigma0: float, window: ScanWindow, *,

@@ -26,7 +26,11 @@ known by their values alone: the targets of `universality.taylor_coeffs`.
 
 Branch convention: log zeta is the principal branch on the real segment
 (1, inf) and is continued along horizontal segments from sigma = 10, where
-|zeta - 1| < 2^-9 keeps the principal branch unambiguous.
+|zeta - 1| < 2^-9 keeps the principal branch unambiguous. Shifts on one
+line Re s = sigma0 share a branch table, `_log_zeta_line`: one track along
+the line, anchored by that continuation at its lowest shift and checked
+against it at its highest. `_log_zeta_line_derivs` looks its shifts up in
+a table, and a log scan builds one table per window.
 """
 
 from __future__ import annotations
@@ -144,21 +148,33 @@ def _em_eval(s: np.ndarray, n_trunc: int, n_bern: int, offsets: np.ndarray | Non
 def _em_tail(vals: np.ndarray, s: np.ndarray, n_trunc: int, n_bern: int) -> np.ndarray:
     """Adds the Euler-Maclaurin tail at s to the main sums vals, in place.
 
-    Returns the error estimate: the remainder bound plus the rounding floor.
+    vals is a C-contiguous array of the shape of s. Returns the error
+    estimate: the remainder bound plus the rounding floor. Per block of 240
+    points one (n_bern + 2, 240) table holds the sum so far and the
+    correction terms: a running product of their ratios (no factorial to
+    overflow), then a running sum in the order of term-by-term addition. At
+    n_bern = 30 the table stays under glibc's 128 KiB mmap threshold, as in
+    `_blocked_sum`.
     """
     bern = _bernoulli_over_factorial()
     nf = float(n_trunc)
-    vals += nf ** (1.0 - s) / (s - 1.0) + 0.5 * nf ** (-s)
-    # correction terms, built iteratively to avoid factorial overflow
-    term = bern[0] * s * nf ** (-s - 1.0)
-    for k in range(1, n_bern + 1):
-        vals += term
-        ratio = (bern[k] / bern[k - 1]) * (s + (2 * k - 1)) * (s + 2 * k) / nf**2
-        term = term * ratio
+    k = np.arange(1, n_bern + 1)
+    flat_s, flat_vals = s.reshape(-1), vals.reshape(-1)
+    term = np.empty(flat_s.shape, dtype=complex)  # per point, the first term left out of the sum
+    for a in range(0, flat_s.size, 240):
+        sb = flat_s[a : a + 240]
+        table = np.empty((n_bern + 2, len(sb)), dtype=complex)
+        table[0] = flat_vals[a : a + 240] + (nf ** (1.0 - sb) / (sb - 1.0) + 0.5 * nf ** (-sb))
+        table[1] = bern[0] * sb * nf ** (-sb - 1.0)
+        table[2:] = ((bern[k] / bern[k - 1])[:, None] * (sb + (2 * k - 1)[:, None])
+                     * (sb + (2 * k)[:, None]) / nf**2)
+        np.cumprod(table[1:], axis=0, out=table[1:])
+        term[a : a + 240] = table[-1]
+        flat_vals[a : a + 240] = np.cumsum(table[:-1], axis=0, out=table[:-1])[-1]
     # classical remainder bound: |next term| * |s + 2K + 1| / (sigma + 2K + 1)
     sigma = s.real
     guard = np.abs(s + (2 * n_bern + 1)) / np.maximum(sigma + 2 * n_bern + 1, 1.0)
-    err = np.abs(term) * guard * 2.0
+    err = np.abs(term.reshape(s.shape)) * guard * 2.0
     err += _em_floor(sigma, n_trunc)
     return err
 
@@ -444,26 +460,19 @@ def log_zeta_derivs(kmax: int, sigma0: float, t: float,
     return derivs[0], float(err[0])
 
 
-def _log_zeta_line_derivs(kmax: int, sigma0: float, taus) -> tuple[np.ndarray, np.ndarray]:
-    """d^k/ds^k log zeta at sigma0 + i tau, k <= kmax, for every tau of a run, in one batch.
+def _log_zeta_line(sigma0: float, taus):
+    """The branch of log zeta along Re s = sigma0 over a run of shifts: (params, values, arg).
 
-    For k >= 1 the Taylor coefficients a_j of zeta at the points (one
-    batched `_zeta_taylor` call) give those of log zeta by the
-    log-series recurrence b_k = (a_k - (1/k) sum_{0<j<k} j b_j a_{k-j}) / a_0,
-    which needs no branch. log zeta itself is continued along Re s = sigma0
-    from log_zeta_tracked at the lowest tau and checked against
-    log_zeta_tracked at the highest; they differ by 2 pi times the number of
-    zeros in [sigma0, 10] x [min tau, max tau]. A mismatch or a failed
-    continuation raises PathThroughZeroError. Zeros left of the line are not
-    seen (none exist off the critical line); `log_zeta_derivs` checks a disk
-    around its one point.
-
-    Returns (derivs of shape (len(taus), kmax + 1), per tau a first-order
-    error bound of the k >= 1 values: the largest error bound of the zeta
-    derivatives over |zeta|, times 1 + max_k |derivs|).
+    One `_adaptive_track` along the line through the sorted taus gives zeta
+    at params (the taus and any points it inserted) with principal steps of
+    at most 1 rad between neighbours; arg is anchored by `log_zeta_tracked`
+    at the lowest tau and checked against it at the highest. The two differ
+    by 2 pi times the number of zeros in [sigma0, 10] x [min tau, max tau],
+    so a mismatch raises PathThroughZeroError ("right of the line"), as does
+    a failed track. Zeros left of the line are not seen (none exist off the
+    critical line); `log_zeta_derivs` checks a disk around its one point.
     """
-    order = np.argsort(taus, kind="stable")
-    t = np.asarray(taus, dtype=float)[order]
+    t = np.sort(np.asarray(taus, dtype=float))
     params, vals, steps = _adaptive_track(lambda u: sigma0 + 1j * u, t)
     arg = log_zeta_tracked(sigma0, float(t[0])).imag + np.concatenate([[0.0], np.cumsum(steps)])
     if len(t) > 1 and abs(arg[-1] - log_zeta_tracked(sigma0, float(t[-1])).imag) > 1e-6:
@@ -471,19 +480,65 @@ def _log_zeta_line_derivs(kmax: int, sigma0: float, taus) -> tuple[np.ndarray, n
             f"log zeta continued along Re s = {sigma0:g} over [{t[0]:g}, {t[-1]:g}] "
             f"misses the horizontal continuation: a zero lies right of the line"
         )
-    idx = np.searchsorted(params, t)
+    return params, vals, arg
+
+
+def _line_arg(line, t: np.ndarray, z: np.ndarray):
+    """arg zeta at the shifts t, where zeta is z, looked up in a `_log_zeta_line` table.
+
+    With lo the table point at or below a shift, arg = arg[lo] + angle(z /
+    values[lo]). None when a shift lies outside the table, |z| < 1e-12, or a
+    principal step lo -> shift or shift -> lo + 1 exceeds 1 rad: the rule
+    `_adaptive_track` applies between neighbours.
+    """
+    params, vals, arg = line
+    lo = np.searchsorted(params, t, side="right") - 1
+    if np.any(lo < 0) or np.any(t > params[-1]) or np.any(np.abs(z) < 1e-12):
+        return None
+    step_in = np.angle(z / vals[lo])
+    step_out = np.angle(vals[np.minimum(lo + 1, len(params) - 1)] / z)
+    if np.any(np.abs(step_in) > 1.0) or np.any(np.abs(step_out) > 1.0):
+        return None
+    return arg[lo] + step_in
+
+
+def _log_zeta_line_derivs(kmax: int, sigma0: float, taus,
+                          line=None) -> tuple[np.ndarray, np.ndarray]:
+    """d^k/ds^k log zeta at sigma0 + i tau, k <= kmax, for every tau of a run, in one batch.
+
+    For k >= 1 the Taylor coefficients a_j of zeta at the points (one
+    batched `_zeta_taylor` call) give those of log zeta by the
+    log-series recurrence b_k = (a_k - (1/k) sum_{0<j<k} j b_j a_{k-j}) / a_0,
+    which needs no branch. log zeta itself is log|a_0| plus the argument
+    looked up (`_line_arg`) in a branch table of the line, `_log_zeta_line`:
+    `line`, a table the caller built once over a wider run, or, when it is
+    None or a shift fails the lookup, a table of this run's own. A failed
+    own table or lookup raises PathThroughZeroError.
+
+    Returns (derivs of shape (len(taus), kmax + 1), per tau a first-order
+    error bound of the k >= 1 values: the largest error bound of the zeta
+    derivatives over |zeta|, times 1 + max_k |derivs|).
+    """
+    t = np.asarray(taus, dtype=float)
     zeta_d, zeta_err = _zeta_taylor(sigma0 + 1j * t, kmax)
+    arg = None if line is None else _line_arg(line, t, zeta_d[:, 0])
+    if arg is None:
+        arg = _line_arg(_log_zeta_line(sigma0, t), t, zeta_d[:, 0])
+        if arg is None:
+            raise PathThroughZeroError(
+                f"a shift in [{t.min():g}, {t.max():g}] on Re s = {sigma0:g} has |zeta| "
+                f"below 1e-12 or turns more than 1 rad from its own line table"
+            )
     fact = np.array([math.factorial(k) for k in range(kmax + 1)], dtype=float)
     a = zeta_d / fact
     b = np.empty_like(a)
-    b[:, 0] = np.log(np.abs(vals[idx])) + 1j * arg[idx]
+    b[:, 0] = np.log(np.abs(a[:, 0])) + 1j * arg
     for k in range(1, kmax + 1):
         acc = sum(j * b[:, j] * a[:, k - j] for j in range(1, k))
         b[:, k] = (a[:, k] - acc / k) / a[:, 0]
     derivs = b * fact
     err = np.max(zeta_err, axis=1) / np.abs(a[:, 0]) * (1.0 + np.max(np.abs(derivs), axis=1))
-    undo = np.argsort(order)
-    return derivs[undo], err[undo]
+    return derivs, err
 
 
 def zeta_derivs(kmax: int, center: complex) -> tuple[np.ndarray, float]:

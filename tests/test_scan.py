@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from zetascope import scan as scan_module
+from zetascope import zeta_engine
 from zetascope.errors import (
     PathThroughZeroError,
     WindowConstraintError,
@@ -276,7 +277,7 @@ def test_log_chunk_falls_back_to_per_point(monkeypatch):
     that meets a zero is recorded as a skip, as before."""
     real = scan_module.log_zeta_derivs
 
-    def failing_line(kmax, sigma0, taus):
+    def failing_line(kmax, sigma0, taus, line=None):
         raise PathThroughZeroError("synthetic continuation failure")
 
     def per_point(kmax, sigma0, t, **kwargs):
@@ -290,3 +291,34 @@ def test_log_chunk_falls_back_to_per_point(monkeypatch):
     result = scan_log_derivs(targets, 0.75, ScanWindow(t=495.0, h=10.0, eps=1e-3, step=0.25))
     assert result.skipped == [{"tau": 497.0, "reason": "synthetic zero on circle"}]
     assert any(abs(h.tau - 500.0) < 0.25 for h in result.hits)
+
+
+def test_log_scan_anchors_the_branch_once(monkeypatch):
+    """A log scan continues log zeta horizontally once at each end of its
+    window, however many chunks and refined candidates: the benchmark's
+    window of 303 points (5 chunks) at height 2000."""
+    targets = tuple(log_zeta_derivs(1, 0.75, 2003.2862719709167)[0])
+    anchors, refined = [], []
+    real_anchor, real_refine = zeta_engine.log_zeta_tracked, scan_module._refine_all
+    monkeypatch.setattr(zeta_engine, "log_zeta_tracked",
+                        lambda *a: anchors.append(a) or real_anchor(*a))
+    monkeypatch.setattr(scan_module, "_refine_all",
+                        lambda taus0, *a: refined.append(len(taus0)) or real_refine(taus0, *a))
+    w = ScanWindow(t=2000.0, h=12.5, eps=0.6)
+    result = scan_log_derivs(targets, 0.75, w)
+    assert len(w.grid()) > 4 * _CHUNK and refined[0] >= 2 and result.hits
+    assert len(anchors) <= 2
+
+
+def test_log_scan_without_a_window_table(monkeypatch):
+    """When the window's branch table cannot be built, every objective call
+    anchors its own run, and the scan finds the same hits."""
+    targets = tuple(log_zeta_derivs(1, 0.75, 500.0)[0])
+    w = ScanWindow(t=495.0, h=10.0, eps=1e-3)
+    expected = [h.tau for h in scan_log_derivs(targets, 0.75, w).hits]
+
+    def no_table(sigma0, taus):
+        raise PathThroughZeroError("synthetic zero right of the line")
+
+    monkeypatch.setattr(scan_module, "_log_zeta_line", no_table)
+    assert expected and [h.tau for h in scan_log_derivs(targets, 0.75, w).hits] == expected

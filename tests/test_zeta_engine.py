@@ -4,6 +4,7 @@ import mpmath as mp
 import numpy as np
 import pytest
 
+from zetascope import zeta_engine
 from zetascope.errors import (
     BoundaryZeroError,
     PathThroughZeroError,
@@ -335,29 +336,70 @@ def test_evaluator_memory_is_bounded_per_block(evaluate):
     assert peak <= 24 * 2**20
 
 
+_batched = zeta_engine._log_zeta_line_derivs
+
+
 def _one_shift(kmax, sigma, taus):
     rows = [log_zeta_derivs(kmax, sigma, t) for t in taus]
     return np.array([d for d, _ in rows]), np.array([e for _, e in rows])
 
 
-@pytest.mark.parametrize("one_shift, kmax, tau", [
-    (False, 2, 500.0), (False, 2, 2000.0), (False, 2, 5000.0),
-    (True, 2, 500.0), (True, 2, 2000.0), (True, 2, 5000.0), (True, 7, 2000.0),
-], ids=["500.0", "2000.0", "5000.0",
-        "one-shift-500.0", "one-shift-2000.0", "one-shift-5000.0", "one-shift-k7-2000.0"])
-def test_batched_log_derivs_against_mpmath(one_shift, kmax, tau, mp_log_zeta_derivs):
-    """Oracle: log-zeta derivatives of a run of shifts, batched or one shift
-    at a time through log_zeta_derivs; for k >= 1 the reported error is a
-    bound, up to the order cap of the log scan."""
-    from zetascope.zeta_engine import _log_zeta_line_derivs
+def _no_own_table(sigma0, taus):
+    raise AssertionError("a shift missed the branch table")
 
+
+def _from_table(kmax, sigma, taus):
+    """Looked up in the branch table of a grid of step 0.13 widened by a step
+    each side, as a log scan builds it: no shift is a table point, and the
+    last lies outside the grid, within a step."""
+    grid = taus[0] - 0.05 + 0.13 * np.arange(3)
+    line = zeta_engine._log_zeta_line(sigma, np.concatenate([[grid[0] - 0.13], grid,
+                                                             [grid[-1] + 0.13]]))
+    assert not np.isin(taus, line[0]).any() and taus[-1] > grid[-1]
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(zeta_engine, "_log_zeta_line", _no_own_table)
+        return zeta_engine._log_zeta_line_derivs(kmax, sigma, taus, line=line)
+
+
+@pytest.mark.parametrize("evaluate, kmax, tau", [
+    (_batched, 2, 500.0), (_batched, 2, 2000.0), (_batched, 2, 5000.0),
+    (_one_shift, 2, 500.0), (_one_shift, 2, 2000.0), (_one_shift, 2, 5000.0),
+    (_one_shift, 7, 2000.0), (_from_table, 2, 2000.0), (_from_table, 2, 5000.0),
+], ids=["500.0", "2000.0", "5000.0",
+        "one-shift-500.0", "one-shift-2000.0", "one-shift-5000.0", "one-shift-k7-2000.0",
+        "table-2000.0", "table-5000.0"])
+def test_batched_log_derivs_against_mpmath(evaluate, kmax, tau, mp_log_zeta_derivs):
+    """Oracle: log-zeta derivatives of a run of shifts, batched, one shift
+    at a time through log_zeta_derivs, or looked up in a wider branch table;
+    for k >= 1 the reported error is a bound, up to the order cap of the log
+    scan."""
     taus = tau + np.array([0.0, 0.15, 0.3])
-    derivs, err = (_one_shift if one_shift else _log_zeta_line_derivs)(kmax, 0.75, taus)
+    derivs, err = evaluate(kmax, 0.75, taus)
     for t, d, e in zip(taus, derivs, err):
         ref = mp_log_zeta_derivs(0.75, t, kmax)
         assert np.max(np.abs(d[1:] - ref[1:])) <= e, t
         # log zeta itself carries the error of the zeta value
         assert abs(d[0] - ref[0]) <= max(e, 1e-9 * (1.0 + np.max(np.abs(d)))), t
+
+
+def test_table_miss_anchors_an_own_table(monkeypatch):
+    """A shift outside the branch table, or one the table is too coarse for
+    (a principal step above 1 rad to the next table point), gives the
+    derivatives of line=None: the call anchors a table of its own run."""
+    taus = 2000.0 + np.array([0.0, 0.15, 0.3])
+    own = zeta_engine._log_zeta_line_derivs(2, 0.75, taus)
+    short = zeta_engine._log_zeta_line(0.75, 2000.0 + 0.1 * np.arange(-1, 3))
+    params, vals, arg = zeta_engine._log_zeta_line(0.75, np.linspace(1998.0, 2002.0, 41))
+    ends = np.searchsorted(params, [1999.0, 2001.0])  # zeta turns by 1.74 rad between
+    coarse = (params[ends], vals[ends], arg[ends])
+    anchors = []
+    real = zeta_engine.log_zeta_tracked
+    monkeypatch.setattr(zeta_engine, "log_zeta_tracked",
+                        lambda *a: anchors.append(a) or real(*a))
+    for line in (short, coarse):
+        derivs, err = zeta_engine._log_zeta_line_derivs(2, 0.75, taus, line=line)
+        assert np.array_equal(derivs, own[0]) and np.array_equal(err, own[1])
+    assert len(anchors) == 4
 
 
 @pytest.mark.parametrize("t", [500.0, 1000.0, 2000.0, 5000.0])
