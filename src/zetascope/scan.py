@@ -6,14 +6,14 @@ derivatives (the Taylor data of weak universality); `scan_log_derivs` and
 `scan_zeta_derivs` name its two modes. The scan grid is finer than the
 fastest Euler-product oscillation in the window. Every objective takes an
 array of shifts of any shape: the grid goes to it in fixed chunks, each
-evaluated in one batch (64 points, whose zeta Taylor data is one call of
-the differentiated Dirichlet sums; 4096 for the value mode, one zeta
-target, whose chunk is one progression for the factored main sum), and the
-log mode looks log zeta itself up in one branch table of the scan line,
-built once per window before the chunks. Grid dips are then polished by
-nested local refinement of all candidates in lockstep, one objective call
-per level, and one more call of the same objective on the refined shifts
-gives each hit its residuals. Candidate selection keeps a first-order
+evaluated in one batch (4096 points in the zeta mode, for any number of
+targets, one call of the Euler-Maclaurin kernel, whose main sum factors
+the chunk's progression as centres times offsets; 64 in the log mode),
+and the log mode looks log zeta itself up in one branch table of the scan
+line, built once per window before the chunks. Grid dips are then
+polished by nested local refinement of all candidates in lockstep, one
+objective call per level, and one more call of the same objective on the
+refined shifts gives each hit its residuals. Candidate selection keeps a first-order
 safety margin so a sharp minimum sitting between grid points is still
 caught.
 """
@@ -29,11 +29,11 @@ import numpy as np
 
 from .errors import PathThroughZeroError, WindowConstraintError, ZeroConstantTermError
 from .zeta_engine import (
+    _em_series,
     _log_zeta_line,
     _log_zeta_line_derivs,
-    _zeta_taylor,
+    _truncation,
     log_zeta_derivs,
-    zeta_array,
 )
 
 __all__ = [
@@ -50,8 +50,8 @@ __all__ = [
 MAX_ORDER_LOG = 8    # log Taylor kernel bounds, checked against mpmath to order 7
 MAX_ORDER_ZETA = 12  # Taylor kernel bounds, growing like (log N)^k, checked to order 11
 # grid points per objective call: one batch shape, whatever the thread count
-_CHUNK = 64  # derivative modes
-_VALUE_CHUNK = 4096  # value mode: 64 centres x 64 offsets in the factored main sum
+_CHUNK = 64  # log mode
+_ZETA_CHUNK = 4096  # zeta mode: 64 centres x 64 offsets in the factored main sum
 
 
 @dataclass(frozen=True)
@@ -274,16 +274,16 @@ def scan_derivs(targets, sigma0: float, window: ScanWindow, *, mode: str = "log"
     mode "log" matches d^k/ds^k log zeta(sigma0 + i tau) and mode "zeta"
     matches d^k/ds^k zeta(sigma0 + i tau) against targets[k], k < n; the
     grid objective is max_k |derivative - target|, and dips below the
-    window tolerance become verified hits. Zeta derivatives come from the
-    differentiated Dirichlet sums (`zeta_engine._zeta_taylor`), one call per
-    chunk of shifts; the log mode turns them into log-zeta derivatives and
-    takes log zeta itself from one branch table of the line
-    (`zeta_engine._log_zeta_line`), built before the chunks over the grid
-    widened by a step each side, which holds every shift refinement tries.
-    A call with a shift the table cannot serve anchors a table of its own
-    run, as does every call when the window's table cannot be built. A
-    single zeta target, whose residual |zeta - targets[0]| needs no
-    derivative, goes to `zeta_array`. A log-mode chunk whose own table fails
+    window tolerance become verified hits. The zeta mode calls the
+    Euler-Maclaurin kernel (`zeta_engine._em_series`) at order n - 1 once
+    per chunk, with the chunk's shape, and computes no error bound. The log
+    mode turns the zeta Taylor data of `zeta_engine._zeta_taylor` into
+    log-zeta derivatives and takes log zeta itself from one branch table of
+    the line (`zeta_engine._log_zeta_line`), built before the chunks over
+    the grid widened by a step each side, which holds every shift
+    refinement tries. A call with a shift the table cannot serve anchors a
+    table of its own run, as does every call when the window's table cannot
+    be built. A log-mode chunk whose own table fails
     goes one shift at a time through `log_zeta_derivs`; shifts where it
     fails are skipped and recorded. Hits are verified together. The zeta
     mode needs a nonzero constant target (a zero one would ask the scan to
@@ -328,17 +328,13 @@ def scan_derivs(targets, sigma0: float, window: ScanWindow, *, mode: str = "log"
                 except PathThroughZeroError as exc:
                     reasons[i] = str(exc)
             return resid, reasons
-    elif n > 1:
-        def objective(taus):
-            derivs = _zeta_taylor(sigma0 + 1j * np.ravel(taus), n - 1)[0]
-            return np.abs(derivs - b), {}
     else:
-        # a single target is matched by the value itself: no derivatives;
-        # the shape of taus reaches zeta_array, which factors rows of progressions
+        # the shape of taus reaches the kernel, which factors rows of progressions
+        fact = np.cumprod(np.maximum(np.arange(n), 1))
         def objective(taus):
             s = sigma0 + 1j * np.asarray(taus)
-            return np.abs(zeta_array(s) - b[0]).reshape(-1, 1), {}
-        chunk = _VALUE_CHUNK
+            return np.abs(_em_series(s, n - 1, _truncation(s.ravel()))[0] * fact - b), {}
+        chunk = _ZETA_CHUNK
 
     return _run_scan(objective, grid, window, sigma0, mode, threads, chunk)
 

@@ -18,7 +18,7 @@ import numpy as np
 from .errors import NoConvergenceError, NoHitsError
 from .scan import MAX_ORDER_ZETA, ScanWindow, scan_zeta_derivs
 from .omega import _threshold_exponent
-from .zeta_engine import _circle_derivs, zeta_array
+from .zeta_engine import zeta_array
 
 __all__ = [
     "UniversalityTarget",
@@ -113,18 +113,28 @@ def choose_taylor_degree(m_g: float, delta0: float, eps: float) -> int:
 def taylor_coeffs(g, s0: complex, r_c: float, n: int, *, return_error: bool = False):
     """Derivatives g^(k)(s0) for k < n by trapezoidal circle quadrature.
 
-    Runs the Cauchy-circle kernel `zeta_engine._circle_derivs`,
-    doubling the node count until two successive estimates agree to 1e-10
-    relative to the largest derivative. High orders on small circles
-    amplify evaluation noise by k!/r_c^k, so doubling also stops once the
-    change plateaus at that noise floor; the floor is the reported error.
+    Cauchy circles with node doubling: from 64 equispaced nodes (at least
+    2n) on |s - s0| = r_c, the node count doubles, at most 7 rounds, until
+    two successive estimates agree to 1e-10 relative to the largest
+    derivative. High orders on small circles amplify evaluation noise by
+    k!/r_c^k, so doubling also stops once the change plateaus at that noise
+    floor; the floor is the reported error.
     """
     s0 = complex(s0)
     if r_c <= 0:
         raise ValueError("circle radius must be positive")
-    f = lambda phis: np.asarray(g(s0 + r_c * np.exp(1j * phis)))
-    prev_change = math.inf
-    for derivs, change in _circle_derivs(f, r_c, n - 1, 64, 7):
+    ks = np.arange(n)
+    fact = np.array([math.factorial(int(k)) for k in ks], dtype=float)
+    derivs, change, prev_change = None, math.inf, math.inf
+    m = max(64, 2 * n)
+    for _ in range(7):
+        phis = np.linspace(0.0, 2.0 * math.pi, m, endpoint=False)
+        vals = np.asarray(g(s0 + r_c * np.exp(1j * phis)))
+        coeff = np.array([(vals * w).mean() for w in np.exp(-1j * np.outer(ks, phis))])
+        new = coeff * fact / r_c ** ks.astype(float)
+        if derivs is not None:
+            change = float(np.max(np.abs(new - derivs)))
+        derivs = new
         scale = 1.0 + float(np.max(np.abs(derivs)))
         if change < 1e-10 * scale:
             return (derivs, change) if return_error else derivs
@@ -133,6 +143,7 @@ def taylor_coeffs(g, s0: complex, r_c: float, n: int, *, return_error: bool = Fa
             # the evaluation-noise floor
             return (derivs, max(change, prev_change)) if return_error else derivs
         prev_change = change
+        m *= 2
     raise NoConvergenceError("Taylor coefficients did not stabilise under node doubling")
 
 

@@ -1,28 +1,26 @@
 """Direct zeta evaluation, zeta Taylor data, branch-tracked logarithms,
-Cauchy-circle derivatives, Selberg's explicit formula, and rectangle zero
-counting.
+Selberg's explicit formula, and rectangle zero counting.
 
-The evaluator is Euler-Maclaurin with a truncation point scaling linearly in
-|Im s| and a Bernoulli correction series whose terms shrink geometrically
-once the truncation point passes |Im s| / (2 pi). Every main sum is one
-blocked loop, `_blocked_sum`: a matrix product of n^-c_j and a right factor
-per block of n. `_em_eval` sums over points c_j + z_m, with n^-z_m as the
-right factor, then adds the tail `_em_tail`; with one offset it is a row
-sum. An evenly spaced input is ceil(L / M) centres plus M = ceil(sqrt L)
-steps, so about 2 sqrt(L) exponentials per n serve L points, and K rows of
-L points, each a progression with one common step, are K ceil(L / M)
-centres plus the same M steps; any other input is its own centres with the
-one offset 0. One core, `_zeta_eval`, makes one pass for the certified
-`zeta` and `zeta_array` and refuses a tolerance that pass cannot certify;
-its pole and envelope checks and truncation point (`_truncation`) also
-serve the Taylor kernel. Zeta's own Taylor data comes from the
-Euler-Maclaurin formula differentiated in s, `_zeta_taylor`: the right
-factor is the power table (-log n)^k / k!, the tail is a power series, and
-each order carries an error bound. `zeta_derivs` runs it on one centre, the
-scans on a chunk of grid points, and `_log_zeta_line_derivs` turns it into
-log zeta derivatives, which `log_zeta_derivs` serves at one point. Cauchy
-circles with node doubling (`_circle_derivs`) remain only for functions
-known by their values alone: the targets of `universality.taylor_coeffs`.
+One Euler-Maclaurin kernel, `_em_series`, gives zeta^(k)(s) / k! for k <=
+kmax at every point of an input of any shape, with a truncation point
+(`_truncation`) scaling linearly in |Im s| and 30 Bernoulli terms, whose
+terms shrink geometrically once the truncation point passes |Im s| /
+(2 pi). Its main sum is one blocked loop, `_blocked_sum`: a matrix product
+of n^-c_j and the right factor n^-z_m (-log n)^k / k! per block of n. An
+evenly spaced input is ceil(L / M) centres c_j plus M = ceil(sqrt L) steps
+z_m, so about 2 sqrt(L) exponentials per n serve L points, and K rows of L
+points, each a progression with one common step, are K ceil(L / M) centres
+plus the same M steps; any other input is its own centres with the one
+offset 0, and at kmax = 0 a row sum. Its tail is a power series about
+each point, summed by Horner's rule, and `_em_remainder` bounds the
+remainder of each order. Values and Taylor data differ only in their rounding floor: the
+certified `zeta` and `zeta_array` are the kernel's order-0 rows
+(`_zeta_eval`) with the floor `_em_floor` of the main sum and the rounding
+of the tail; `_zeta_taylor`, which `zeta_derivs` runs on one centre and
+`_log_zeta_line_derivs` turns into log zeta derivatives, adds absolute
+sums one order up and the phase t log n. `_em_floor` leaves that phase
+out, so at height a value's estimate misses its true error (ROADMAP item
+1, the open defect).
 
 Branch convention: log zeta is the principal branch on the real segment
 (1, inf) and is continued along horizontal segments from sigma = 10, where
@@ -125,64 +123,20 @@ def _blocked_sum(s: np.ndarray, n_trunc: int, width: int, right=None) -> np.ndar
     return vals
 
 
-def _em_eval(s: np.ndarray, n_trunc: int, n_bern: int, offsets: np.ndarray | None = None):
-    """Euler-Maclaurin at every s_j + z_m with fixed truncation settings.
-
-    Returns values and error estimates of shape (len(s), len(z)); offsets
-    None means z = [0]. The main sum separates as sum_n n^-s_j n^-z_m, one
-    matrix product per block of n (`_blocked_sum`), so (len(s) + len(z)) *
-    n_trunc complex exponentials replace len(s) * len(z) * n_trunc. With one
-    offset it is a row sum of n^-(s_j + z_0).
-    """
-    z = np.zeros(1) if offsets is None else offsets
-    if len(z) == 1:
-        vals = _blocked_sum(s + z[0], n_trunc, 1)
-    else:
-        def right(neg):
-            out = np.outer(neg, z)
-            return np.exp(out, out=out)
-        vals = _blocked_sum(s, n_trunc, len(z), right)
-    return vals, _em_tail(vals, s[:, None] + z, n_trunc, n_bern)
-
-
-def _em_tail(vals: np.ndarray, s: np.ndarray, n_trunc: int, n_bern: int) -> np.ndarray:
-    """Adds the Euler-Maclaurin tail at s to the main sums vals, in place.
-
-    vals is a C-contiguous array of the shape of s. Returns the error
-    estimate: the remainder bound plus the rounding floor. Per block of 240
-    points one (n_bern + 2, 240) table holds the sum so far and the
-    correction terms: a running product of their ratios (no factorial to
-    overflow), then a running sum in the order of term-by-term addition. At
-    n_bern = 30 the table stays under glibc's 128 KiB mmap threshold, as in
-    `_blocked_sum`.
-    """
-    bern = _bernoulli_over_factorial()
-    nf = float(n_trunc)
-    k = np.arange(1, n_bern + 1)
-    flat_s, flat_vals = s.reshape(-1), vals.reshape(-1)
-    term = np.empty(flat_s.shape, dtype=complex)  # per point, the first term left out of the sum
-    for a in range(0, flat_s.size, 240):
-        sb = flat_s[a : a + 240]
-        table = np.empty((n_bern + 2, len(sb)), dtype=complex)
-        table[0] = flat_vals[a : a + 240] + (nf ** (1.0 - sb) / (sb - 1.0) + 0.5 * nf ** (-sb))
-        table[1] = bern[0] * sb * nf ** (-sb - 1.0)
-        table[2:] = ((bern[k] / bern[k - 1])[:, None] * (sb + (2 * k - 1)[:, None])
-                     * (sb + (2 * k)[:, None]) / nf**2)
-        np.cumprod(table[1:], axis=0, out=table[1:])
-        term[a : a + 240] = table[-1]
-        flat_vals[a : a + 240] = np.cumsum(table[:-1], axis=0, out=table[:-1])[-1]
-    # classical remainder bound: |next term| * |s + 2K + 1| / (sigma + 2K + 1)
-    sigma = s.real
-    guard = np.abs(s + (2 * n_bern + 1)) / np.maximum(sigma + 2 * n_bern + 1, 1.0)
-    err = np.abs(term.reshape(s.shape)) * guard * 2.0
-    err += _em_floor(sigma, n_trunc)
-    return err
+def _powers(neg: np.ndarray, kmax: int) -> np.ndarray:
+    """The power table (-log n)^k / k! for k <= kmax, one row per value of -log n."""
+    table = np.empty((len(neg), kmax + 1))
+    table[:, 0] = 1.0
+    table[:, 1:] = np.outer(neg, 1.0 / np.arange(1, kmax + 1))
+    return np.cumprod(table, axis=1, out=table)
 
 
 def _em_floor(sigma: np.ndarray, n_trunc: int) -> np.ndarray:
-    """Floating-point accumulation floor of _em_eval: eps * log2(N) * sum |n^-s|.
+    """Rounding floor of a value's main sum: eps * log2(N) * sum_{n<N} |n^-s|.
 
-    It grows with N, so no longer sum can bring an estimate below it.
+    It grows with N, so no longer sum can bring an estimate below it. It
+    leaves out the rounding of the phase t log n, which at height is most
+    of the true error.
     """
     one_minus = np.where(np.abs(1.0 - sigma) < 1e-9, 1e-9, 1.0 - sigma)
     with np.errstate(over="ignore"):
@@ -228,30 +182,137 @@ def _centres_offsets(s: np.ndarray):
     return flat, np.zeros(1), np.arange(flat.size)
 
 
+_N_BERN = 30  # Bernoulli terms of every Euler-Maclaurin tail
+
+
+def _em_series(s: np.ndarray, kmax: int, n_trunc: int):
+    """Euler-Maclaurin Taylor data: zeta^(k)(s) / k! for k <= kmax at every point of s.
+
+    The one kernel behind values and derivatives. Returns (coeffs, tail),
+    both (s.size, kmax + 1) in the order of s.ravel(): the coefficients,
+    and per order the size of the tail's terms, N^-sigma sum_j |bracket_j|
+    |decay_(k-j)| below, which at k = 0 is |tail|; the callers' rounding
+    floors need it. The main sum sum_{n<N} n^-s (-log n)^k / k! is the
+    centres of `_centres_offsets` times its offsets times the power table,
+    one product per block of n (`_blocked_sum`); one offset at kmax = 0 is
+    a row sum. The tail N^-s decay(u) bracket(u), with decay(u) =
+    e^(-u log N) and bracket(u) = N / (s - 1 + u) + 1/2 + sum_j beta_j
+    (s + u)(s + 1 + u) ... (s + 2j - 2 + u) N^(1 - 2j) over the `_N_BERN`
+    Bernoulli terms, is a power series in u, its sum by Horner's rule, per
+    block of 240 points. The tail is added at the main sum's points. The
+    remainder is bounded apart, by `_em_remainder`.
+    """
+    centres, offsets, index = _centres_offsets(s)
+    if len(offsets) == 1 and not kmax:
+        sums = _blocked_sum(centres + offsets[0], n_trunc, 1)
+    else:
+        def right(neg):  # n^-z_m (-log n)^k / k!, for every offset z_m and order k
+            out = np.outer(neg, offsets)
+            np.exp(out, out=out)
+            if kmax:
+                out = (out[:, :, None] * _powers(neg, kmax)[:, None, :]).reshape(len(neg), -1)
+            return out
+        sums = _blocked_sum(centres, n_trunc, len(offsets) * (kmax + 1), right)
+    coeffs = sums.reshape(-1, kmax + 1)[index]
+    points = (centres[:, None] + offsets).ravel()[index]  # the main sum's points
+
+    nf = float(n_trunc)
+    orders = range(kmax + 1)
+    decay = [(-math.log(nf)) ** k / math.factorial(k) for k in orders]  # e^(-u log N)
+    conv = np.array([[decay[k - j] if j <= k else 0.0 for j in orders] for k in orders])
+    odd = np.arange(2 * _N_BERN - 3, 0, -2)[:, None] / nf  # (2j - 1) / N
+    shift = (2.0 * odd + 1.0 / nf) / nf
+    bern = _bernoulli_over_factorial()
+    tail = np.empty(coeffs.shape)
+    for a in range(0, points.size, 240):
+        c = points[a : a + 240]
+        p = len(c)
+        # Horner over the Bernoulli terms, the orders of u laid end to end:
+        # h <- beta_j + h (c + u + 2j - 1)(c + u + 2j) / N^2, for j = _N_BERN - 1 .. 1
+        x = np.concatenate([c / nf] * (kmax + 1))
+        quad = (x + odd) * (x + (odd + 1.0 / nf))
+        twice = 2.0 * x[p:] / nf  # the u coefficient (2c + 4j - 1) / N^2 is twice + shift_j
+        betas = np.zeros((_N_BERN, x.size), dtype=complex)  # beta_30 .. beta_1 at order 0
+        betas[:, :p] = bern[_N_BERN - 1 :: -1][:, None]
+        h = betas[0]
+        for j in range(_N_BERN - 1):
+            new = h * quad[j] + betas[j + 1]
+            if kmax:
+                new[p:] += h[:-p] * (twice + shift[j])
+                new[2 * p :] += h[: -2 * p] * nf**-2
+            h = new
+        rest = h * x  # times (c + u) / N
+        rest[p:] += h[:-p] / nf
+        rest[:p] += 0.5
+        # N^(1-s) / (s - 1 + u) apart: its exponent (1 - s) log N is small near the pole
+        series = nf ** (1.0 - c) / (c - 1.0) * (-1.0 / (c - 1.0)) ** np.arange(kmax + 1)[:, None]
+        series += rest.reshape(kmax + 1, p) * nf**-c
+        coeffs[a : a + 240] += (conv @ series).T
+        tail[a : a + 240] = (np.abs(conv) @ np.abs(series)).T
+    return coeffs, tail
+
+
+def _em_remainder(points: np.ndarray, kmax: int, n_trunc: int) -> np.ndarray:
+    """A bound on the Euler-Maclaurin remainder of each coefficient of `_em_series`.
+
+    Returns (len(points), kmax + 1). At k = 0 it is the classical bound at
+    c: twice |first term left out| |c + 2K + 1| / (sigma + 2K + 1), K =
+    `_N_BERN`. For k >= 1 it is Cauchy's, |R^(k)(c)| / k! <= max_{|s-c|=rho}
+    |R(s)| / rho^k on rho = k / log N, with that bound majorised on the
+    circle. At a trivial zero a factor c + i of the first term left out is 0,
+    and so is the k = 0 bound: the tail is exact there. Per block of 240
+    points, as the tail.
+    """
+    ks = np.arange(kmax + 1)
+    log_nf = math.log(n_trunc)
+    rho = ks / log_nf
+    top = 2 * _N_BERN + 1
+    # log 2 |beta_(K+1)| / rho^k
+    scale = [math.log(2.0 * abs(_bernoulli_over_factorial()[_N_BERN]))
+             - (k * math.log(k / log_nf) if k else 0.0) for k in range(kmax + 1)]
+    out = np.empty((len(points), kmax + 1))
+    for a in range(0, len(points), 240):
+        c = points[a : a + 240, None]
+        # |c + i| + rho for the factors c .. c + 2K of the first term left out,
+        # and for the c + 2K + 1 of the guard
+        factors = np.abs(c[:, :, None] + np.arange(top + 1)) + rho[:, None]
+        edge = c.real - rho + top
+        with np.errstate(divide="ignore"):
+            log_r = np.sum(np.log(factors), axis=2) - edge * log_nf - np.log(np.maximum(edge, 1.0))
+        out[a : a + 240] = np.exp(log_r + scale)
+    return out
+
+
 def _zeta_eval(s: np.ndarray, tol: float):
     """The certified evaluator: (values, error estimates, truncation point) at s.
 
-    Values and estimates are flat, in the order of s.ravel(). One pass at
-    `_truncation`'s point with 30 Bernoulli terms: it refuses before the
-    pass when the rounding floor already exceeds tol, and after it when any
-    estimate does. An evenly spaced s, or rows of progressions with one
-    common step, is summed as centres times offsets (`_centres_offsets`).
+    Values and estimates are flat, in the order of s.ravel(): the order-0
+    rows of `_em_series` at `_truncation`'s point. It refuses before the
+    pass when the rounding floor `_em_floor` already exceeds tol, and after
+    it when any estimate does. An estimate is the remainder bound, that
+    floor, and the rounding of the tail, 4u |tail| with u = 2^-53. Near
+    the pole the tail's leading term N^(1-s) / (s - 1) is most of the
+    value, and four roundings meet it at full size, each at most u |tail|
+    to first order: the exponential in N^(1-s), the division by s - 1, its
+    sum with the rest of the tail and the sum with the main part. Its
+    exponent (1 - s) log N adds 2u |1 - s| log N |tail|: small near the
+    pole, and at height part of the phase rounding `_em_floor` leaves out.
     """
     flat = s.ravel()
     n_trunc = _truncation(flat)
-    floor = float(np.max(_em_floor(flat.real, n_trunc)))
-    if floor > tol:
+    floor = _em_floor(flat.real, n_trunc)
+    if float(np.max(floor)) > tol:
         raise ToleranceUnreachableError(
-            f"could not certify tolerance {tol:g} (rounding floor {floor:.3g} "
+            f"could not certify tolerance {tol:g} (rounding floor {float(np.max(floor)):.3g} "
             f"at {n_trunc} terms)"
         )
-    centres, offsets, index = _centres_offsets(s)
-    vals, err = (a.ravel()[index] for a in _em_eval(centres, n_trunc, 30, offsets))
+    coeffs, tail = _em_series(s, 0, n_trunc)
+    err = _em_remainder(flat, 0, n_trunc)[:, 0] + floor + 4.4e-16 * tail[:, 0]
     if float(np.max(err)) > tol:
         raise ToleranceUnreachableError(
             f"could not certify tolerance {tol:g} (max error {float(np.max(err)):.3g})"
         )
-    return vals, err, n_trunc
+    return coeffs[:, 0], err, n_trunc
 
 
 def zeta_array(s, tol: float = 1e-11) -> np.ndarray:
@@ -275,77 +336,26 @@ def zeta(s: complex, tol: float = 1e-11) -> ZetaEval:
 def _zeta_taylor(centres: np.ndarray, kmax: int):
     """zeta^(k)(c_j) for k <= kmax at every centre, with a bound on each error.
 
-    The Euler-Maclaurin formula differentiated in s: its main sum is
-    sum_{n<N} n^-c_j (-log n)^k / k!, one product per block of n with the
-    power table of -log n (`_blocked_sum`), and its tail
-    N^-c e^(-u log N) [N / (c - 1 + u) + 1/2 + sum_j beta_j (c + u)(c + 1 + u)
-    ... (c + 2j - 2 + u) N^(1 - 2j)] is a power series in u = s - c. N is
-    `_truncation`'s and there are 30 Bernoulli terms, as in `_zeta_eval`.
-    Returns (derivs, err), both (len(centres), kmax + 1). err adds a Cauchy
-    majorant of the remainder on the circle |s - c| = k / log N, the
-    rounding floor eps sum_n (log n)^k n^-sigma (log2 N + 2 |t| log n),
-    whose second term is the rounding of the phase t log n, and the rounding
-    of the tail, which near the pole at s = 1 is most of zeta^(k).
+    `_em_series` at `_truncation`'s point, times k!. Returns (derivs, err),
+    both (len(centres), kmax + 1). err adds to the remainder bound
+    `_em_remainder` the rounding floor eps sum_n (log n)^k n^-sigma (log2 N
+    + 2 |t| log n), whose second term is the rounding of the phase t log n,
+    and the rounding of the tail, which near the pole at s = 1 is most of
+    zeta^(k): its phase t log N and its 2 `_N_BERN` sums and products.
     """
     c = np.asarray(centres, dtype=complex)
-    n_trunc, n_bern = _truncation(c), 30
-    nf, log_nf = float(n_trunc), math.log(n_trunc)
+    n_trunc = _truncation(c)
     ks = np.arange(kmax + 1)
     fact = np.array([math.factorial(k) for k in range(kmax + 2)], dtype=float)
-
-    def powers(neg):  # (-log n)^k / k! for k <= kmax + 1
-        table = np.empty((len(neg), kmax + 2))
-        table[:, 0] = 1.0
-        table[:, 1:] = np.outer(neg, 1.0 / np.arange(1, kmax + 2))
-        return np.cumprod(table, axis=1, out=table)
-
-    # one more row per real part: |sum_n n^-sigma (-log n)^k / k!| is the
-    # absolute sum the rounding floor needs, one order beyond kmax
+    coeffs, tail = _em_series(c, kmax, n_trunc)
+    # |sum_n n^-sigma (-log n)^k / k!| per real part, one order beyond kmax
     sigmas, which = np.unique(c.real, return_inverse=True)
-    sums = _blocked_sum(np.concatenate([c, sigmas]), n_trunc, kmax + 2, powers)
-    absum = np.abs(sums[len(c) :])[which] * fact
-
-    # the tail as a power series in u
-    bern = _bernoulli_over_factorial()
-    one = np.zeros((len(c), kmax + 1), dtype=complex)
-    one[:, 0] = 1.0
-
-    def times_linear(p, a):  # p(u) (a + u), truncated
-        out = p * a[:, None]
-        out[:, 1:] += p[:, :-1]
-        return out
-
-    inv = 1.0 / (c[:, None] - 1.0)
-    bracket = nf * inv * (-inv) ** ks + 0.5 * one
-    term = bern[0] / nf * times_linear(one, c)
-    for j in range(1, n_bern + 1):
-        bracket += term
-        term = times_linear(times_linear(term, c + (2 * j - 1)), c + 2 * j)
-        term *= bern[j] / bern[j - 1] / nf**2
-    decay = (-log_nf) ** ks / fact[:-1]  # e^(-u log N)
-    conv = lambda a, b: np.stack([a[:, : k + 1] @ b[k::-1] for k in ks], axis=1)
-    tail = (nf**-c)[:, None] * conv(bracket, decay)
-    derivs = (sums[: len(c), :-1] + tail) * fact[:-1]
-
-    # |R^(k)(c)| <= k! max_{|s-c|=rho} |R(s)| / rho^k, with the remainder
-    # bound of _em_tail majorised on the circle
-    rho = ks / log_nf
-    sigma = c.real[:, None]
-    log_r = (
-        np.log(2.0 * abs(bern[n_bern]))
-        + np.sum(np.log(np.abs(c[:, None, None] + np.arange(2 * n_bern + 1)) + rho[:, None]),
-                 axis=2)
-        - (sigma - rho + 2 * n_bern + 1) * log_nf
-        + np.log((np.abs(c[:, None] + (2 * n_bern + 1)) + rho)
-                 / np.maximum(sigma - rho + 2 * n_bern + 1, 1.0))
-    )
-    cauchy = fact[:-1] * np.exp(log_r - ks * np.log(np.where(ks > 0, rho, 1.0)))
+    absum = np.abs(_blocked_sum(sigmas, n_trunc, kmax + 2,
+                                lambda neg: _powers(neg, kmax + 1)))[which] * fact
     t = np.abs(c.imag)[:, None]
-    # the tail's rounding: its phase t log N, its 2 n_bern sums and products
-    tail_abs = (nf**-c.real)[:, None] * conv(np.abs(bracket), np.abs(decay)) * fact[:-1]
     floor = 2.2e-16 * (math.log2(n_trunc) * absum[:, :-1] + 2.0 * t * absum[:, 1:]
-                       + (2.0 * t * log_nf + 2 * n_bern + ks + 4) * tail_abs)
-    return derivs, cauchy + floor
+                       + (2.0 * t * math.log(n_trunc) + 2 * _N_BERN + ks + 4) * tail * fact[:-1])
+    return coeffs * fact[:-1], _em_remainder(c, kmax, n_trunc) * fact[:-1] + floor
 
 
 # ----------------------------------------------------------------------
@@ -404,31 +414,6 @@ def log_zeta_tracked(sigma0: float, t: float) -> complex:
     v0, v_end = vals[0], vals[-1]
     total_arg = math.atan2(v0.imag, v0.real) + float(np.sum(steps))
     return complex(math.log(abs(v_end)), total_arg)
-
-
-def _circle_derivs(f, radius: float, kmax: int, nodes: int, rounds: int):
-    """Cauchy-circle Taylor data of F(c + radius e^(i phi)), with node doubling.
-
-    f(phis) returns F at the node angles phis. Each round doubles the
-    equispaced nodes (at least `nodes`, 2(kmax+1)) and yields (derivs,
-    change): d^k F/ds^k at c for k <= kmax, and the largest change from the
-    round before (inf on the first). The caller stops when it is satisfied;
-    the rounds end after `rounds`.
-    """
-    ks = np.arange(kmax + 1)
-    fact = np.array([math.factorial(int(k)) for k in ks], dtype=float)
-    derivs, change = None, math.inf
-    m = max(nodes, 2 * (kmax + 1))
-    for _ in range(rounds):
-        phis = np.linspace(0.0, 2.0 * math.pi, m, endpoint=False)
-        vals = np.asarray(f(phis))
-        coeff = np.array([(vals * w).mean() for w in np.exp(-1j * np.outer(ks, phis))])
-        new = coeff * fact / radius ** ks.astype(float)
-        if derivs is not None:
-            change = float(np.max(np.abs(new - derivs)))
-        derivs = new
-        yield derivs, change
-        m *= 2
 
 
 def log_zeta_derivs(kmax: int, sigma0: float, t: float,

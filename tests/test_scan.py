@@ -14,7 +14,7 @@ from zetascope.errors import (
 )
 from zetascope.scan import (
     _CHUNK,
-    _VALUE_CHUNK,
+    _ZETA_CHUNK,
     Hit,
     ScanResult,
     ScanWindow,
@@ -138,9 +138,9 @@ def test_scan_near_one_is_nonempty():
 
 
 def test_value_scan_near_the_critical_line():
-    """The value mode checks its hits at zeta_array's own tolerance, so a scan
-    at sigma0 = 0.51, whose rounding floor is above 1e-13, returns its hits;
-    each is a true hit by mpmath."""
+    """The value mode computes no error bound and refuses no tolerance, so a
+    scan at sigma0 = 0.51, whose rounding floor is above 1e-13, returns its
+    hits; each is a true hit by mpmath."""
     result = scan_zeta_derivs((1.0,), 0.51, ScanWindow(t=1e4, h=21.0, eps=0.35))
     assert result.hits
     with mp.workdps(30):
@@ -162,11 +162,11 @@ def test_thread_determinism():
          ScanWindow(t=495.0, h=10.0, eps=1e-3, step=0.1)),
         ("zeta", (1.0,), ScanWindow(t=1000.0, h=10.0, eps=0.35)),
         ("zeta", tuple(zeta_derivs(1, 0.75 + 300.0j)[0]), ScanWindow(t=295.0, h=10.0, eps=1e-2)),
-        # about 4.4k points: a full value chunk and a partial one
+        # about 4.4k points: a full zeta chunk and a partial one
         ("zeta", (1.0,), ScanWindow(t=1000.0, h=200.0, eps=0.35)),
     ]
     assert len(cases[0][2].grid()) % _CHUNK and len(cases[0][2].grid()) > _CHUNK
-    assert len(cases[3][2].grid()) % _VALUE_CHUNK and len(cases[3][2].grid()) > _VALUE_CHUNK
+    assert len(cases[3][2].grid()) % _ZETA_CHUNK and len(cases[3][2].grid()) > _ZETA_CHUNK
     for mode, targets, w in cases:
         a, *rest = (scan_derivs(targets, 0.75, w, mode=mode, threads=k) for k in (1, 2, 3))
         assert a.hits

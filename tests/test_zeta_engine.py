@@ -46,13 +46,11 @@ def test_classical_values():
 
 
 def test_independent_truncation_settings_agree():
-    """Oracle: same series at deliberately different truncation settings."""
-    from zetascope.zeta_engine import _em_eval
-
+    """Oracle: the series against mpmath at 30 digits."""
     s = np.array([2.0 + 0j, 3.0 + 0j, 0.75 + 50j])
-    a, _ = _em_eval(s, 64, 18)
-    b, _ = _em_eval(s, 431, 30)
-    assert np.max(np.abs(a - b)) < 1e-12
+    with mp.workdps(30):
+        ref = np.array([complex(mp.zeta(mp.mpc(x.real, x.imag))) for x in s])
+    assert np.max(np.abs(zeta_array(s) - ref)) < 1e-12
 
 
 def test_pole_and_validation():
@@ -228,11 +226,36 @@ def test_tolerance_below_rounding_floor_is_refused_up_front(monkeypatch):
     from zetascope import zeta_engine
 
     passes = []
-    em_eval = zeta_engine._em_eval
-    monkeypatch.setattr(zeta_engine, "_em_eval", lambda *a: passes.append(a) or em_eval(*a))
+    blocked_sum = zeta_engine._blocked_sum
+    monkeypatch.setattr(zeta_engine, "_blocked_sum", lambda *a: passes.append(a) or blocked_sum(*a))
     with pytest.raises(ToleranceUnreachableError, match="rounding floor"):
         zeta(0.75 + 1e4j, tol=1e-20)
     assert passes == []
+
+
+@pytest.mark.parametrize("s", [1.001, 0.9999, 0.999 + 0.001j, 1.01 + 0.01j, 0.98, 0.999, 1.0001,
+                               1.05])
+def test_est_error_near_the_pole_against_mpmath(s):
+    """Oracle: near s = 1, where the tail N^(1-s) / (s - 1) is most of the
+    value, the estimate bounds the true error (mpmath at 30 digits)."""
+    ev = zeta(s)
+    with mp.workdps(30):
+        ref = complex(mp.zeta(mp.mpc(complex(s).real, complex(s).imag)))
+    assert abs(ev.value - ref) <= ev.est_error
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("c", [1.001, 0.999 + 0.001j, 1.01 + 0.01j, 0.98, 0.0, -1.0, -2.0,
+                               -0.5 + 0.3j])
+def test_taylor_data_at_the_pole_and_trivial_zeros_against_mpmath(c):
+    """Oracle: zeta derivatives, k <= 7, near the pole and at the trivial
+    zeros, where a factor of the first term left out vanishes, are each
+    within their own bound (mpmath at 30 digits), with no warning."""
+    derivs, err = _zeta_taylor(np.array([complex(c)]), 7)
+    with mp.workdps(30):
+        ref = np.array([complex(mp.zeta(mp.mpc(complex(c).real, complex(c).imag), derivative=k))
+                        for k in range(8)])
+    assert np.all(np.abs(derivs[0] - ref) <= err[0])
 
 
 _PROGRESSIONS = {
@@ -253,6 +276,10 @@ def test_progression_matches_points_one_at_a_time(name):
     vals = zeta_array(s)
     single = np.array([zeta_array([x])[0] for x in s])
     assert np.all(np.abs(vals - single) <= 1e-12 * (1.0 + np.abs(single)))
+    # Taylor data: each value within its own bound of the one-at-a-time value
+    derivs, err = _zeta_taylor(s, 3)
+    single = np.array([_zeta_taylor(np.array([x]), 3)[0][0] for x in s])
+    assert np.all(np.abs(derivs - single) <= err)
 
 
 def test_progression_at_height_against_mpmath():
@@ -270,12 +297,13 @@ def test_progression_at_height_against_mpmath():
 
 def test_only_progressions_are_factored(monkeypatch):
     """Only an arithmetic progression, or rows of them with one common step,
-    reaches _em_eval with more than one offset."""
+    reaches the main sum with more than one offset."""
     from zetascope import zeta_engine
 
-    em_eval, seen = zeta_engine._em_eval, []
-    monkeypatch.setattr(zeta_engine, "_em_eval",
-                        lambda *a: seen.append(len(a[3])) or em_eval(*a))
+    blocked_sum, seen = zeta_engine._blocked_sum, []
+    # the width of the right factor: one column per offset and order
+    monkeypatch.setattr(zeta_engine, "_blocked_sum",
+                        lambda *a: seen.append(a[2]) or blocked_sum(*a))
     prog = 0.75 + 1j * (200.0 + 0.1 * np.arange(64))
     moved = prog.copy()
     moved[17] += 1e-7j
@@ -298,6 +326,11 @@ def test_only_progressions_are_factored(monkeypatch):
         seen.clear()
         zeta_array(s)
         assert set(seen) == {offsets}
+    # Taylor data of orders 0..2: 8 offsets times 3 orders, then the rounding
+    # floor's absolute sums of orders 0..3 at the one real part
+    seen.clear()
+    _zeta_taylor(prog, 2)
+    assert seen == [8 * 3, 4]
     single = np.array([zeta_array([x])[0] for x in rows.ravel()]).reshape(rows.shape)
     assert np.all(np.abs(zeta_array(rows) - single) <= 1e-12 * np.abs(single))
 
