@@ -14,6 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .curve import curve_coords
 from .errors import QuadratureFailureError
 from .phases import PhaseAssignment
 from .primes import PrimeTable
@@ -31,11 +32,6 @@ __all__ = [
 ]
 
 
-@functools.lru_cache(maxsize=32)
-def gauss_nodes(order: int):
-    return np.polynomial.legendre.leggauss(order)
-
-
 def _raw_bump(x: np.ndarray) -> np.ndarray:
     x = np.asarray(x, dtype=float)
     inside = np.abs(x) < 1.0
@@ -46,31 +42,56 @@ def _raw_bump(x: np.ndarray) -> np.ndarray:
     return out
 
 
+_RUN_VALUES = 1 << 18  # integrand values the panel rule holds at once
+
+
+def _panel_rule(integrand, edges, panels: int, *, order: int, tol: float, message: str):
+    """Composite order-point Gauss-Legendre rule on the panel edges
+    edges(panels) and edges(2 panels): returns the finer sum, or raises
+    QuadratureFailureError(message) when the two differ by more than tol.
+
+    integrand maps nodes to values, nodes on the last axis (several values
+    per node give a sum of that shape). Runs of whole panels hold at most
+    about _RUN_VALUES values, so neither the panel count nor the values per
+    node raise the memory peak.
+    """
+    x, w = np.polynomial.legendre.leggauss(order)
+
+    def total(e):
+        run = max(1, _RUN_VALUES // (order * np.size(integrand(e[:1]))))
+        lo, hi = e[:-1], e[1:]
+        acc = 0.0
+        for i in range(0, len(lo), run):
+            a, b = lo[i : i + run], hi[i : i + run]
+            half = 0.5 * (b - a)
+            nodes = (0.5 * (a + b)[:, None] + half[:, None] * x).ravel()
+            acc = acc + integrand(nodes) @ (half[:, None] * w).ravel()
+        return acc
+
+    coarse, fine = total(edges(panels)), total(edges(2 * panels))
+    diff = float(np.max(np.abs(coarse - fine)))
+    if diff > tol:
+        raise QuadratureFailureError(f"{message}: panel doubling moved the sum by {diff:.3g} > {tol:g}")
+    return fine
+
+
 @functools.lru_cache(maxsize=1)
 def bump_normalizer() -> float:
     """1 / integral of exp(-1/(1-x^2)) over [-1, 1].
 
-    Gauss-Legendre panels with extra subdivision near the endpoints, where
-    the bump is flat but its derivatives spike; the value is checked against
-    a doubled-panel evaluation at build time.
+    The panel rule at order 48 on 16 panels over [-0.9, 0.9] plus a quarter
+    as many on each end piece, where the bump is flat but its derivatives
+    spike; doubling must move the integral by at most 1e-12.
     """
-    x, w = gauss_nodes(48)
-
-    def integrate(panels):
-        edges = np.concatenate(
+    def edges(panels):
+        return np.concatenate(
             [np.linspace(-1.0, -0.9, panels // 4 + 1)[:-1],
              np.linspace(-0.9, 0.9, panels + 1)[:-1],
              np.linspace(0.9, 1.0, panels // 4 + 1)]
         )
-        total = 0.0
-        for a, b in zip(edges[:-1], edges[1:]):
-            total += (b - a) / 2 * float(np.sum(w * _raw_bump((a + b) / 2 + (b - a) / 2 * x)))
-        return total
 
-    coarse, fine = integrate(16), integrate(32)
-    if abs(coarse - fine) > 1e-12:
-        raise QuadratureFailureError("bump normaliser did not converge")
-    return 1.0 / fine
+    return 1.0 / float(_panel_rule(_raw_bump, edges, 16, order=48, tol=1e-12,
+                                   message="bump normaliser did not converge"))
 
 
 def bump(x) -> np.ndarray:
@@ -137,35 +158,24 @@ class FourierData:
 
 
 def fourier_coeffs(spec: MollifierSpec) -> FourierData:
-    """alpha_n by high-order panel quadrature over the bump support.
-
-    alpha_0 must come out as 1 (the bump integrates to 1); failure to meet
-    that or the doubling check raises QuadratureFailureError.
+    """alpha_n for n = 0..m by the panel rule at order 40 over the bump
+    support, a few panels per period of cos(2 pi m theta), each node with
+    its m + 1 cosines. Doubling must move no alpha_n by more than 1e-10 and
+    alpha_0 must come out as 1 (the bump integrates to 1); either failure
+    raises QuadratureFailureError.
     """
     d = spec.delta
     m = spec.m_cutoff
-    x, w = gauss_nodes(40)
-    # resolve the fastest oscillation: a few panels per period of e(m theta)
-    panels = max(32, int(4 * m * d) + 8)
-
-    def coeffs(panel_count):
-        edges = np.linspace(-d, d, panel_count + 1)
-        mids = 0.5 * (edges[:-1] + edges[1:])
-        half = 0.5 * (edges[1:] - edges[:-1])
-        nodes = (mids[:, None] + half[:, None] * x[None, :]).ravel()
-        weights = (half[:, None] * w[None, :]).ravel()
-        vals = scaled_bump(nodes, d) * weights
-        ns = np.arange(0, m + 1)
-        return np.cos(2.0 * math.pi * np.outer(ns, nodes)) @ vals
-
-    a, b = coeffs(panels), coeffs(2 * panels)
-    if float(np.max(np.abs(a - b))) > 1e-10:
-        raise QuadratureFailureError("Fourier coefficients did not converge")
-    if abs(b[0] - 1.0) > 1e-10:
-        raise QuadratureFailureError(f"alpha_0 = {b[0]!r} deviates from 1")
-    ns = np.arange(1, m + 1, dtype=float)
-    decay = float(np.max(np.abs(b[1:]) * ns**2 * d**3))
-    return FourierData(delta=d, alpha=b, decay_constant=decay, beta_norm_log=3.0 * float(spec.q))
+    ns = np.arange(0, m + 1)
+    alpha = _panel_rule(
+        lambda th: np.cos(2.0 * math.pi * np.outer(ns, th)) * scaled_bump(th, d),
+        lambda panels: np.linspace(-d, d, panels + 1), max(32, int(4 * m * d) + 8),
+        order=40, tol=1e-10, message="Fourier coefficients did not converge",
+    )
+    if abs(alpha[0] - 1.0) > 1e-10:
+        raise QuadratureFailureError(f"alpha_0 = {alpha[0]!r} deviates from 1")
+    decay = float(np.max(np.abs(alpha[1:]) * ns[1:] ** 2.0 * d**3))
+    return FourierData(delta=d, alpha=alpha, decay_constant=decay, beta_norm_log=3.0 * float(spec.q))
 
 
 def mollifier_product(theta: PhaseAssignment, spec: MollifierSpec, table: PrimeTable) -> float:
@@ -197,55 +207,28 @@ def truncation_remainder(spec: MollifierSpec, table: PrimeTable) -> float:
 
 
 def mean_over_curve(spec: MollifierSpec, t0: float, h: float, theta: PhaseAssignment,
-                    table: PrimeTable, *, kernel=None,
-                    tol: float = 1e-6) -> tuple[float, float]:
+                    table: PrimeTable) -> tuple[float, float]:
     """Average of the mollifier along the curve over [t0, t0 + h].
 
     Returns (mean, |mean - 1|). The integrand is a product of pi(q) bump
-    factors; the panel width resolves the narrowest support window and the
-    estimate is validated by panel doubling. Capped at pi(q) <= 6 because
-    the joint support thins out exponentially in the number of coordinates.
+    factors; the panel rule at order 12 takes panels a sixth of the
+    narrowest support window wide (at least h 1e-7), and doubling must move
+    the mean by at most 1e-6. Capped at pi(q) <= 6 because the joint support
+    thins out exponentially in the number of coordinates.
     """
-    from .curve import curve_coords
-
     ps = [int(p) for p in table.primes[table.primes <= spec.q]]
     if len(ps) > 6:
         raise ValueError("mean_over_curve caps the coordinate count at pi(q) <= 6")
     if h <= 0:
         raise ValueError("window height h must be positive")
     d = spec.delta
-    f = kernel if kernel is not None else scaled_bump
+
+    def integrand(t):
+        return np.prod([scaled_bump(curve_coords(t, p) - theta.get(p), d) for p in ps], axis=0)
 
     # narrowest t-structure: support half-width delta on the fastest coordinate
     fastest = max(math.log(p) for p in ps) / (2.0 * math.pi)
-    panel_width = max(d / fastest / 6.0, h * 1e-7)
-    x, w = gauss_nodes(12)
-
-    def average(width):
-        panels = int(math.ceil(h / width))
-        total = 0.0
-        # stream panels in chunks to bound memory
-        chunk = max(1, (1 << 18) // 12)
-        edges = np.linspace(t0, t0 + h, panels + 1)
-        for i in range(0, panels, chunk):
-            end = min(i + chunk, panels)
-            a = edges[i:end]
-            b = edges[i + 1 : end + 1]
-            mids = 0.5 * (a + b)
-            half = 0.5 * (b - a)
-            nodes = (mids[:, None] + half[:, None] * x[None, :]).ravel()
-            weights = (half[:, None] * w[None, :]).ravel()
-            prod = np.ones_like(nodes)
-            for p in ps:
-                coord = curve_coords(nodes, p) - theta.get(p)
-                prod *= f(coord, d)
-            total += float(np.dot(weights, prod))
-        return total / h
-
-    coarse = average(panel_width)
-    fine = average(panel_width / 2.0)
-    if abs(coarse - fine) > tol:
-        raise QuadratureFailureError(
-            f"curve mean unstable: {coarse!r} vs {fine!r} at tolerance {tol:g}"
-        )
-    return fine, abs(fine - 1.0)
+    panels = int(math.ceil(h / max(d / fastest / 6.0, h * 1e-7)))
+    mean = float(_panel_rule(integrand, lambda count: np.linspace(t0, t0 + h, count + 1), panels,
+                             order=12, tol=1e-6 * h, message="curve mean unstable")) / h
+    return mean, abs(mean - 1.0)

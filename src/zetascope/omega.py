@@ -148,18 +148,18 @@ class TailConstants:
 
 
 @functools.lru_cache(maxsize=4096)
-def _tail_term(q_int: int, sigma0: float, excluded: frozenset, k: int, tol: float):
+def _tail_term(q_int: int, sigma0: float, excluded: frozenset, k: int):
     table = primes_up_to(q_int)
     theta1 = alternating_phases(table)
     off_block = ~np.isin(table.primes, np.fromiter(excluded, dtype=np.int64, count=len(excluded)))
     rest = table.primes[off_block]
-    res = log_euler_deriv(rest, LogDerivSpec(k, sigma0, tol=tol), theta1)
+    res = log_euler_deriv(rest, LogDerivSpec(k, sigma0, tol=1e-13), theta1)
     return res.value, res.tail_bound
 
 
-def tail_constants(spec: TargetSpec, blocks: BlockSystem | None, q: float,
-                   *, tol: float = 1e-13) -> TailConstants:
-    """Exact finite sums of log-Euler derivatives over primes <= q off-block.
+def tail_constants(spec: TargetSpec, blocks: BlockSystem | None, q: float) -> TailConstants:
+    """Exact finite sums of log-Euler derivatives over primes <= q off-block,
+    with power tails below 1e-13.
 
     Cached per (q, sigma0, block set, order): calibration sweeps revisit the
     same grids constantly and the sums are deterministic.
@@ -170,7 +170,7 @@ def tail_constants(spec: TargetSpec, blocks: BlockSystem | None, q: float,
     values = []
     bounds = []
     for k in range(spec.n):
-        v, b = _tail_term(int(q), spec.sigma0, excluded, k, tol)
+        v, b = _tail_term(int(q), spec.sigma0, excluded, k)
         values.append(v)
         bounds.append(b)
     return TailConstants(tuple(values), float(q), excluded, tuple(bounds))
@@ -445,16 +445,15 @@ class ConstructionReport:
         }
 
 
-def _default_q(u0: float, n: int) -> float:
-    # the tail argument needs q past every block; one extra doubling is
-    # cheap and keeps the background sum comfortably longer than the blocks
-    return float(2 ** (n + 1)) * u0
-
-
-def _attempt(spec: TargetSpec, u0: float, q: float | None,
+def _attempt(spec: TargetSpec, u0: float,
              feas_margin: float) -> tuple[PhaseAssignment, ConstructionReport]:
+    """One construction at block start u0, each block target within
+    feas_margin of its disk radius, and prime cutoff q = 2^(n+1) u0: one
+    doubling past the blocks keeps the background sum longer than them.
+    Each residual is one sum of the returned assignment over every prime up
+    to q at power tails below 1e-15, apart from the solve's linear model."""
     blocks = build_blocks(u0, spec.n, spec.sigma0, warn_thin=False)  # reported, not warned
-    q = q if q is not None else _default_q(u0, spec.n)
+    q = float(2 ** (spec.n + 1)) * u0
     tail = tail_constants(spec, blocks, q)
     rhs = [a - g for a, g in zip(spec.targets, tail.values)]
     sol = solve_vandermonde(blocks.nodes, rhs)
@@ -483,16 +482,9 @@ def _attempt(spec: TargetSpec, u0: float, q: float | None,
     block_ps = blocks.all_primes  # ascending: the blocks are disjoint and ordered
     solved_only = PhaseAssignment._from_sorted(block_ps, np.concatenate(solved))
     assignment = alternating_phases(table).merged(solved_only)
-    # verification at fresh (deeper) power depth: off-block background plus
-    # an independent block recomputation; the linear block prediction used
-    # for solving never enters here
-    deep = tail_constants(spec, blocks, q, tol=1e-15)
-    residuals = []
-    for k in range(spec.n):
-        block_val = log_euler_deriv(
-            block_ps, LogDerivSpec(k, spec.sigma0, tol=1e-15), solved_only
-        ).value
-        residuals.append(abs(deep.values[k] + block_val - spec.targets[k]))
+    deep = [log_euler_deriv(table.primes, LogDerivSpec(k, spec.sigma0, tol=1e-15), assignment).value
+            for k in range(spec.n)]
+    residuals = [abs(v - a) for v, a in zip(deep, spec.targets)]
     report = ConstructionReport(
         u0=float(u0), q=float(q), v=blocks.v, n=spec.n, sigma0=spec.sigma0,
         eps=spec.eps, blocks=diag, residuals=tuple(residuals),
@@ -516,13 +508,17 @@ def _calibration_grid(u0_min: float = 3.0, u0_max: float = 2.0e5) -> list:
     return grid
 
 
-def calibrate_u0(spec: TargetSpec, *, u0_grid=None, feas_margin: float = 0.9):
-    """Smallest grid u0 for which the full construction verifies below eps."""
+def calibrate_u0(spec: TargetSpec, *, u0_grid=None):
+    """Smallest grid u0 for which the full construction verifies below eps.
+
+    An attempt refuses a block target beyond 0.9 of its disk radius, so the
+    search moves on from marginal blocks; the default grid is 3 * 1.35^i.
+    """
     grid = list(u0_grid) if u0_grid is not None else _calibration_grid()
     last_error = None
     for u0 in grid:
         try:
-            assignment, report = _attempt(spec, u0, None, feas_margin)
+            assignment, report = _attempt(spec, u0, 0.9)
             return u0, assignment, report
         except ZetascopeError as exc:
             last_error = exc
@@ -533,21 +529,22 @@ def calibrate_u0(spec: TargetSpec, *, u0_grid=None, feas_margin: float = 0.9):
 
 
 def construct_phases(spec: TargetSpec, constants: BoundConstants | None = None,
-                     *, u0: float | None = None, q: float | None = None,
-                     feas_margin: float = 1.0):
+                     *, u0: float | None = None):
     """Build a phase assignment whose log-Euler derivatives hit the targets.
 
     Pipeline: choose u0 (explicit, from the threshold formulas when
-    constants are given, else by calibration), build blocks, subtract the
-    alternating tail, solve the power-moment system, realise each block,
-    and verify by an independent re-evaluation at higher power depth.
+    constants are given, else by calibration), take q = 2^(n+1) u0, build
+    blocks, subtract the alternating tail, solve the power-moment system,
+    realise each block (an explicit or formula u0 lets its target use the
+    whole disk radius), and verify the returned assignment by one deeper
+    sum over every prime up to q per order.
 
     Returns (assignment, report); raises with the offending parameters when
     a block is empty, a block target is outside its disk, or the final
     residual is not below eps.
     """
     if u0 is not None:
-        return _attempt(spec, float(u0), q, feas_margin)
+        return _attempt(spec, float(u0), 1.0)
     if constants is not None:
         base = spec.norm + 1.0 / spec.eps
         log_u0 = math.log(constants.c2) + max(
@@ -559,6 +556,6 @@ def construct_phases(spec: TargetSpec, constants: BoundConstants | None = None,
                 f"threshold-formula u0 = exp({log_u0:.3g}) is far beyond sieve "
                 "range; pass an explicit u0 or use calibration"
             )
-        return _attempt(spec, math.exp(log_u0), q, feas_margin)
+        return _attempt(spec, math.exp(log_u0), 1.0)
     _, assignment, report = calibrate_u0(spec)
     return assignment, report

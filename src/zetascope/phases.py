@@ -171,9 +171,14 @@ def default_ell_max(primes, k: int, sigma0: float, tol: float = 1e-14) -> int:
     answer already; every depth skipped has a term, and so a bound, at or
     above tol.
     """
-    ps = _as_array(primes, float)
+    return _depth_and_bound(_as_array(primes, float), k, sigma0, tol)[0]
+
+
+def _depth_and_bound(ps: np.ndarray, k: int, sigma0: float, tol: float) -> tuple[int, float]:
+    """default_ell_max's depth and the `_tail_bound` its search computed
+    there (every depth the search returns was probed)."""
     if ps.size == 0:
-        return 1
+        return 1, 0.0
     p0 = float(ps.min())
     x0, log_p0 = p0 ** (-sigma0), math.log(p0)
 
@@ -181,8 +186,14 @@ def default_ell_max(primes, k: int, sigma0: float, tol: float = 1e-14) -> int:
         t, q = _tail_terms(x0, log_p0, k, ell + 1)
         return q < 1.0 and t / (1.0 - q) < tol * (1.0 + 1e-9)
 
-    start = _first_depth(lowest_below, max(2, k + 1))
-    return _first_depth(lambda ell: _tail_bound(ps, k, sigma0, ell) < tol, start)
+    bounds = {}
+
+    def below(ell):
+        bounds[ell] = _tail_bound(ps, k, sigma0, ell)
+        return bounds[ell] < tol
+
+    ell = _first_depth(below, _first_depth(lowest_below, max(2, k + 1)))
+    return ell, bounds[ell]
 
 
 def _first_depth(below, ell: int) -> int:
@@ -277,7 +288,10 @@ def log_euler_deriv(primes, spec: LogDerivSpec, theta: PhaseAssignment) -> LogDe
     if ps.size == 0:
         return LogDerivResult(0j, 0.0)
     k, sigma0 = spec.k, spec.sigma0
-    ell_max = spec.ell_max or default_ell_max(ps, k, sigma0, spec.tol)
+    if spec.ell_max is None:
+        ell_max, tail = _depth_and_bound(ps, k, sigma0, spec.tol)
+    else:
+        ell_max, tail = spec.ell_max, _tail_bound(ps, k, sigma0, spec.ell_max)
     n = len(ps)
     logs = np.log(ps)
     drop_tol = spec.tol * 1e-3 / (ell_max * n)
@@ -305,4 +319,4 @@ def log_euler_deriv(primes, spec: LogDerivSpec, theta: PhaseAssignment) -> LogDe
     value = (-1.0) ** k * complex(np.sum(mag * np.cos(angle)), -np.sum(mag * np.sin(angle)))
     rounding = _U * (15.0 * float(np.dot(mag, expo)) + 13.0 * float(np.dot(mag, ell_at))
                      + (13 * k + 110 + 1.5 * math.log2(max(len(mag), 1))) * float(np.sum(mag)))
-    return LogDerivResult(value, _tail_bound(ps, k, sigma0, ell_max) + charged + rounding)
+    return LogDerivResult(value, tail + charged + rounding)

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -6,6 +7,7 @@ import pytest
 from zetascope.errors import QuadratureFailureError
 from zetascope.mollifier import (
     MollifierSpec,
+    _panel_rule,
     bump,
     bump_normalizer,
     fourier_coeffs,
@@ -122,12 +124,64 @@ def test_mean_single_coordinate_full_periods():
     assert mean == pytest.approx(1.0, abs=1e-8)  # integer period count: exact
 
 
-def test_mean_flat_kernel_is_one():
-    table = primes_up_to(3)
-    spec = MollifierSpec(q=3, delta=1.0 / 3.0)
-    flat = lambda th, d: np.ones_like(np.asarray(th, dtype=float))
-    mean, dev = mean_over_curve(spec, 100.0, 1000.0, PhaseAssignment({}), table, kernel=flat)
-    assert dev < 1e-12
+def test_panel_rule_weights_sum_to_length():
+    """The curve mean's partition: a flat integrand integrates to h."""
+    fastest = math.log(3.0) / (2.0 * math.pi)
+    panels = int(math.ceil(1000.0 / ((1.0 / 3.0) / fastest / 6.0)))
+    total = _panel_rule(np.ones_like, lambda count: np.linspace(100.0, 1100.0, count + 1), panels,
+                        order=12, tol=1e-9, message="flat")
+    assert total == pytest.approx(1000.0, abs=1e-9)
+
+
+def test_panel_rule_exact_on_polynomials():
+    """order nodes per panel integrate degree 2 order - 1 exactly, on any partition."""
+    rng = np.random.default_rng(5)
+    coeffs = rng.normal(size=2 * 5)  # degree 9 = 2 * 5 - 1
+    poly = np.polynomial.Polynomial(coeffs)
+    exact = poly.integ()(2.0) - poly.integ()(-1.0)
+    cuts = np.sort(rng.uniform(-1.0, 2.0, size=6))
+
+    def edges(panels):
+        inner = np.sort(np.concatenate([cuts, np.linspace(-1.0, 2.0, panels + 1)[1:-1]]))
+        return np.concatenate([[-1.0], inner, [2.0]])
+
+    total = _panel_rule(poly, edges, 3, order=5, tol=1e-12, message="polynomial")
+    assert total == pytest.approx(exact, abs=1e-12 * (1.0 + abs(exact)))
+
+
+def test_panel_rule_vector_integrand_in_runs():
+    """Values per node and panel counts large enough to split into many runs
+    give the same sums as one run would."""
+    ns = np.arange(0, 300)
+    f = lambda th: np.cos(np.outer(ns, th)) * np.exp(-th * th)
+    got = _panel_rule(f, lambda count: np.linspace(-3.0, 3.0, count + 1), 600,
+                      order=8, tol=1e-10, message="vector")
+    x, w = np.polynomial.legendre.leggauss(8)
+    e = np.linspace(-3.0, 3.0, 1201)
+    nodes = ((e[:-1] + e[1:])[:, None] / 2 + (e[1] - e[0]) / 2 * x).ravel()
+    want = f(nodes) @ np.tile(w * (e[1] - e[0]) / 2, 1200)
+    assert got.shape == (300,)
+    assert np.max(np.abs(got - want)) < 1e-12
+
+
+def test_panel_rule_refuses_a_step():
+    """A jump inside a panel moves the sum under doubling: the caller's message is raised."""
+    step = lambda t: (t > 0.3).astype(float)
+    with pytest.raises(QuadratureFailureError, match="step sum"):
+        _panel_rule(step, lambda count: np.linspace(0.0, 1.0, count + 1), 4,
+                    order=6, tol=1e-6, message="step sum")
+
+
+def test_fourier_memory_does_not_grow_with_m():
+    """Each node carries m + 1 cosines; the rule holds a bounded run of them
+    (the whole (m + 1) x nodes matrix took 433 MiB at m = 512)."""
+    tracemalloc.start()
+    try:
+        fourier_coeffs(MollifierSpec(q=3, m_cutoff=512))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 * 2**20
 
 
 def test_mean_coordinate_cap():

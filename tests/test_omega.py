@@ -240,6 +240,21 @@ def test_construct_simple_target():
     assert reverify(spec, assignment, report.q) < 0.1
 
 
+@pytest.mark.parametrize("spec", [
+    TargetSpec(1, 0.75, (1.0,), 0.1),
+    TargetSpec(2, 0.9, (0.56 + 0.07j, -0.26 - 0.6j), 0.25),
+], ids=["n1", "n2"])
+def test_report_residuals_are_those_of_the_assignment(spec):
+    """The reported residuals are an independent re-sum of the returned
+    assignment over every prime up to q, at a fixed deep power depth."""
+    warnings.filterwarnings("ignore")
+    assignment, report = construct_phases(spec)
+    table = primes_up_to(int(report.q))
+    for k in range(spec.n):
+        val = log_euler_deriv(table.primes, LogDerivSpec(k, spec.sigma0, ell_max=220), assignment).value
+        assert abs(abs(val - spec.targets[k]) - report.residuals[k]) < 1e-13
+
+
 def test_construct_zero_block_targets():
     """Targets equal to the off-block background: every block value is 0."""
     warnings.filterwarnings("ignore")

@@ -134,7 +134,8 @@ def test_tail_bound_is_honest():
 
 def test_default_ell_max_controls_tail():
     """The default depth is the first whose rigorous tail bound is below tol,
-    and the value at that depth is within its reported bound of a deep sum."""
+    the value at that depth is within its reported bound of a deep sum, and
+    the search's bound is the one the explicit depth computes, bit for bit."""
     table = primes_up_to(1000)
     ps = table.primes.astype(float)
     theta = alternating_phases(table)
@@ -143,6 +144,8 @@ def test_default_ell_max_controls_tail():
         assert _tail_bound(ps, k, 0.6, ell) < 1e-14
         assert not _tail_bound(ps, k, 0.6, ell - 1) < 1e-14
         value, bound = log_euler_deriv(table.primes, LogDerivSpec(k, 0.6, tol=1e-14), theta)
+        explicit = log_euler_deriv(table.primes, LogDerivSpec(k, 0.6, ell_max=ell, tol=1e-14), theta)
+        assert explicit == (value, bound)
         deep, _ = log_euler_deriv(table.primes, LogDerivSpec(k, 0.6, ell_max=400), theta)
         assert abs(value - deep) <= bound
 

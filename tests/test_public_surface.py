@@ -34,11 +34,13 @@ def test_removed_names_stay_removed():
     the disk check samples the boundary circle, so its polar grid knobs are gone;
     zeta_derivs differentiates the Dirichlet sums, so it has no circle knobs;
     log_zeta_derivs runs the log Taylor kernel, so its circle knobs and the
-    tracked log on a circle are gone."""
+    tracked log on a circle are gone; the construction's prime cutoff,
+    feasibility margins and tail tolerance, and the curve mean's kernel and
+    tolerance, had no caller that set them; the panel rule places its own nodes."""
     import inspect
     from dataclasses import fields
 
-    from zetascope import universality, zeta_engine
+    from zetascope import mollifier, omega, universality, zeta_engine
 
     assert not hasattr(zetascope, "log_zeta_deriv")
     assert not hasattr(zeta_engine, "log_zeta_deriv")
@@ -48,6 +50,11 @@ def test_removed_names_stay_removed():
     assert not {"radius", "nodes"} & set(inspect.signature(zeta_engine.zeta_derivs).parameters)
     assert not {"nodes", "settle"} & set(inspect.signature(zeta_engine.log_zeta_derivs).parameters)
     assert not hasattr(zeta_engine, "_circle_log_values")
+    assert not {"q", "feas_margin"} & set(inspect.signature(omega.construct_phases).parameters)
+    assert "feas_margin" not in inspect.signature(omega.calibrate_u0).parameters
+    assert "tol" not in inspect.signature(omega.tail_constants).parameters
+    assert not {"kernel", "tol"} & set(inspect.signature(mollifier.mean_over_curve).parameters)
+    assert not hasattr(mollifier, "gauss_nodes")
 
 
 SOURCES = sorted(p for p in Path(zetascope.__file__).parent.glob("*.py") if p.name != "__init__.py")
