@@ -143,8 +143,6 @@ class TailConstants:
 
     values: tuple
     q: float
-    excluded: frozenset
-    tail_bounds: tuple
 
 
 @functools.lru_cache(maxsize=4096)
@@ -153,8 +151,7 @@ def _tail_term(q_int: int, sigma0: float, excluded: frozenset, k: int):
     theta1 = alternating_phases(table)
     off_block = ~np.isin(table.primes, np.fromiter(excluded, dtype=np.int64, count=len(excluded)))
     rest = table.primes[off_block]
-    res = log_euler_deriv(rest, LogDerivSpec(k, sigma0, tol=1e-13), theta1)
-    return res.value, res.tail_bound
+    return log_euler_deriv(rest, LogDerivSpec(k, sigma0, tol=1e-13), theta1).value
 
 
 def tail_constants(spec: TargetSpec, blocks: BlockSystem | None, q: float) -> TailConstants:
@@ -167,13 +164,8 @@ def tail_constants(spec: TargetSpec, blocks: BlockSystem | None, q: float) -> Ta
     excluded = frozenset(int(p) for p in blocks.all_primes) if blocks is not None else frozenset()
     if excluded and q <= max(excluded):
         raise ValueError("q must exceed every block prime")
-    values = []
-    bounds = []
-    for k in range(spec.n):
-        v, b = _tail_term(int(q), spec.sigma0, excluded, k)
-        values.append(v)
-        bounds.append(b)
-    return TailConstants(tuple(values), float(q), excluded, tuple(bounds))
+    values = tuple(_tail_term(int(q), spec.sigma0, excluded, k) for k in range(spec.n))
+    return TailConstants(values, float(q))
 
 
 # ----------------------------------------------------------------------
@@ -411,7 +403,6 @@ class ConstructionReport:
     eps: float
     blocks: list
     residuals: tuple
-    tail_bounds: tuple
     thin_blocks: tuple
     ok: bool
 
@@ -488,7 +479,7 @@ def _attempt(spec: TargetSpec, u0: float,
     report = ConstructionReport(
         u0=float(u0), q=float(q), v=blocks.v, n=spec.n, sigma0=spec.sigma0,
         eps=spec.eps, blocks=diag, residuals=tuple(residuals),
-        tail_bounds=tail.tail_bounds, thin_blocks=blocks.thin_blocks,
+        thin_blocks=blocks.thin_blocks,
         ok=max(residuals) < spec.eps,
     )
     if not report.ok:

@@ -11,11 +11,13 @@ targets, one call of the Euler-Maclaurin kernel, whose main sum factors
 the chunk's progression as centres times offsets; 64 in the log mode),
 and the log mode looks log zeta itself up in one branch table of the scan
 line, built once per window before the chunks. Grid dips are then
-polished by nested local refinement of all candidates in lockstep, one
-objective call per level, and one more call of the same objective on the
-refined shifts gives each hit its residuals. Candidate selection keeps a first-order
-safety margin so a sharp minimum sitting between grid points is still
-caught.
+polished by nested local refinement of all candidates in lockstep. The log
+mode calls its grid objective once per level; the zeta mode refines on a
+Taylor model of zeta about the candidates, built from one kernel call
+(`_taylor_model`). One more call of the grid objective on the refined
+shifts gives each hit its residuals, so those come from the kernel in both
+modes. Candidate selection keeps a first-order safety margin so a sharp
+minimum sitting between grid points is still caught.
 """
 
 from __future__ import annotations
@@ -29,6 +31,7 @@ import numpy as np
 
 from .errors import PathThroughZeroError, WindowConstraintError, ZeroConstantTermError
 from .zeta_engine import (
+    _abs_sum,
     _em_series,
     _log_zeta_line,
     _log_zeta_line_derivs,
@@ -127,12 +130,14 @@ def _refine_all(taus0, objective, radius: float):
     """Nested local minimisation of an objective around every tau0, in lockstep.
 
     objective maps an array of shifts of any shape to their values in ravel
-    order. It is called once on the starting points, then per level once on
-    a (K, 21) array, whose rows are progressions with the level's common
-    step, and once on all vertex candidates: at most 7 calls for any number
-    K of starting points. Three grid levels shrink by a factor 10, each
-    followed by a vertex fit that handles both smooth (parabolic) and kinked
-    (V-shaped) minima; the fit needs a finite bracketing triple. A level
+    order: in a scan, the log mode's grid objective or the zeta mode's
+    Taylor model (`_taylor_model`). It is called once on the starting
+    points, then per level once on a (K, 21) array, whose rows are
+    progressions with the level's common step, and once on the flat array
+    of all vertex candidates: at most 7 calls for any number K of starting
+    points. Three grid levels shrink by a factor 10, each followed by a
+    vertex fit that handles both smooth (parabolic) and kinked (V-shaped)
+    minima; the fit needs a finite bracketing triple. A level
     grid slides inside [tau0 - radius, tau0 + radius] rather than being
     clipped, and no search leaves that interval. Returns (best shifts, their
     values), one per starting point; the first of equal values is kept.
@@ -191,6 +196,64 @@ def refine_hit(tau0: float, objective, radius: float) -> Hit:
     return Hit(tau=float(t[0]), residuals=(float(v[0]),), refined=True)
 
 
+def _taylor_model(n: int, sigma0: float, taus0: np.ndarray, step: float):
+    """zeta^(k), k < n, at shifts near the sorted candidates taus0, from one Taylor data call.
+
+    The zeta mode's refinement objective. `_em_series` at the candidates c
+    = sigma0 + i taus0, to order kmax, gives a_j = zeta^(j)(c) / j!. At c +
+    i delta, zeta^(k) is sum_{j>=k} j! / (j - k)! a_j (i delta)^(j-k); each
+    order k < n is summed to j = kmax by Horner's rule about the nearest
+    candidate. Every shift refinement tries lies within `step` of its own
+    candidate, so |delta| <= step. Returns derivs(taus), the (size, n)
+    derivatives at the shifts in ravel order.
+
+    The order kmax: in the main sum the series of order k is, term by term,
+    n^-c (-log n)^k times the Taylor series of e^(-i delta log n), whose
+    remainder after degree m - 1 is at most |delta log n|^m / m!, since
+    the exponent is imaginary. With n < N and x = step log N, the part of
+    order k left out is at most (log N)^k A x^m / m!, m = kmax - k + 1 >=
+    kmax - n + 2, A = sum_{n<N} n^-sigma0 (majorised by `_abs_sum`). The
+    Euler-Maclaurin tail is about one more term at n = N, its bracket
+    varying by O(step / t) over the disc, inside the margin by which the
+    majorant exceeds A. kmax is the least order whose A x^m / m! at order
+    n - 1 is below 2^-53: the rounding of one term of order k's size (log
+    N)^k, far below the direct kernel's own floor (`_zeta_taylor`).
+
+    Returns None when x >= 1: the Horner sums, whose terms add up to e^x
+    A (log N)^k, would cancel, and the scan refines on the direct kernel.
+    x < 1 also keeps step below a third of every candidate's distance from
+    the pole at s = 1 (tau >= t >= 1), inside the tail's disc of convergence.
+    """
+    s = sigma0 + 1j * taus0
+    n_trunc = _truncation(s)
+    x = step * math.log(n_trunc)
+    if not x < 1.0:
+        return None
+    m, drop = 1, float(_abs_sum(sigma0, n_trunc)) * x
+    while drop >= 2.0**-53:
+        m += 1
+        drop *= x / m
+    kmax = n - 2 + m
+    a = _em_series(s, kmax, n_trunc)[0]
+    # coef[c, d, k] = (k + d)! / d! a_(k+d), the coefficient of (i delta)^d in order k
+    j = np.arange(kmax + 1)[:, None] + np.arange(n)
+    falling = np.array([[math.perm(d + k, k) for k in range(n)] for d in range(kmax + 1)])
+    coef = np.where(j <= kmax, a[:, np.minimum(j, kmax)] * falling, 0.0)
+    mids = 0.5 * (taus0[1:] + taus0[:-1])
+
+    def derivs(taus):
+        t = np.ravel(taus)
+        owner = np.searchsorted(mids, t)
+        z = 1j * (t - taus0[owner])[:, None]
+        c = coef[owner]
+        h = c[:, kmax]
+        for d in range(kmax - 1, -1, -1):
+            h = h * z + c[:, d]
+        return h
+
+    return derivs
+
+
 def _candidate_indices(vals: np.ndarray, eps: float) -> list:
     """Grid indices worth refining: local minima below a slope-aware bar.
 
@@ -210,7 +273,7 @@ def _candidate_indices(vals: np.ndarray, eps: float) -> list:
 
 
 def _run_scan(objective, grid: np.ndarray, window: ScanWindow, sigma0: float,
-              mode: str, threads: int, chunk: int = _CHUNK) -> ScanResult:
+              mode: str, threads: int, chunk: int = _CHUNK, model=None) -> ScanResult:
     """Shared driver: evaluate the grid, refine candidates, verify hits.
 
     objective(taus) returns (residuals, reasons) at an array of shifts of
@@ -219,9 +282,11 @@ def _run_scan(objective, grid: np.ndarray, window: ScanWindow, sigma0: float,
     maps those rows to why. The grid goes to the objective in chunks of
     `chunk` points, shared over `threads` workers; the chunks do not depend
     on the thread count, so neither do the hits. All candidates are refined
-    together (`_refine_all`), and one more call on the refined shifts gives
-    each hit its residuals; each hit's wall_time is the time of that whole
-    refine-and-verify batch.
+    together (`_refine_all`) on model(candidates), a max-residual function
+    of shifts within a step of them, or, where model is None or returns
+    None, on the objective's own max residual. One more objective call on
+    the refined shifts gives each hit its residuals; each hit's wall_time is
+    the time of that whole refine-and-verify batch.
     """
     t_start = time.monotonic()
     starts = range(0, len(grid), chunk)
@@ -247,7 +312,9 @@ def _run_scan(objective, grid: np.ndarray, window: ScanWindow, sigma0: float,
     candidates = _candidate_indices(vals, window.eps)
     if candidates:
         t0 = time.monotonic()
-        refined, _ = _refine_all(grid[candidates], max_residual, window.step)
+        taus0 = grid[candidates]
+        refine = (model and model(taus0)) or max_residual
+        refined, _ = _refine_all(taus0, refine, window.step)
         residuals, why = objective(refined)
         batch_time = time.monotonic() - t0
         for i, tau in enumerate(refined.tolist()):
@@ -276,7 +343,11 @@ def scan_derivs(targets, sigma0: float, window: ScanWindow, *, mode: str = "log"
     grid objective is max_k |derivative - target|, and dips below the
     window tolerance become verified hits. The zeta mode calls the
     Euler-Maclaurin kernel (`zeta_engine._em_series`) at order n - 1 once
-    per chunk, with the chunk's shape, and computes no error bound. The log
+    per chunk, with the chunk's shape, and computes no error bound; it
+    refines all candidates on a Taylor model from one more kernel call at
+    their centres (`_taylor_model`; a step too coarse for the model refines
+    on the kernel itself), and verifies the refined shifts with one direct
+    call. The log
     mode turns the zeta Taylor data of `zeta_engine._zeta_taylor` into
     log-zeta derivatives and takes log zeta itself from one branch table of
     the line (`zeta_engine._log_zeta_line`), built before the chunks over
@@ -305,7 +376,7 @@ def scan_derivs(targets, sigma0: float, window: ScanWindow, *, mode: str = "log"
     if threads < 1:
         raise ValueError("threads must be at least 1")
 
-    grid, chunk = window.grid(), _CHUNK
+    grid, chunk, model = window.grid(), _CHUNK, None
     if mode == "log":
         # refinement stays within one step of a grid point, so the branch
         # table of the grid widened by a step each side serves every call
@@ -335,8 +406,12 @@ def scan_derivs(targets, sigma0: float, window: ScanWindow, *, mode: str = "log"
             s = sigma0 + 1j * np.asarray(taus)
             return np.abs(_em_series(s, n - 1, _truncation(s.ravel()))[0] * fact - b), {}
         chunk = _ZETA_CHUNK
+        def model(taus0):  # refinement on a Taylor model about the candidates
+            derivs = _taylor_model(n, sigma0, taus0, window.step)
+            if derivs is not None:
+                return lambda taus: np.max(np.abs(derivs(taus) - b), axis=1)
 
-    return _run_scan(objective, grid, window, sigma0, mode, threads, chunk)
+    return _run_scan(objective, grid, window, sigma0, mode, threads, chunk, model)
 
 
 def scan_log_derivs(targets, sigma0: float, window: ScanWindow, *,

@@ -131,6 +131,17 @@ def _powers(neg: np.ndarray, kmax: int) -> np.ndarray:
     return np.cumprod(table, axis=1, out=table)
 
 
+def _abs_sum(sigma, n_trunc: int):
+    """1 + |(N^(1-sigma) - 1) / (1 - sigma)|, the integral majorant of sum_{n<N} n^-sigma.
+
+    For 0 <= sigma < 1 it exceeds the sum by about 1 - 1 / (1 - sigma) -
+    zeta(sigma): 0.46 at sigma = 0.51, 0.43 at 0.9.
+    """
+    one_minus = np.where(np.abs(1.0 - sigma) < 1e-9, 1e-9, 1.0 - sigma)
+    with np.errstate(over="ignore"):
+        return 1.0 + np.abs((float(n_trunc) ** np.minimum(one_minus, 300.0) - 1.0) / one_minus)
+
+
 def _em_floor(sigma: np.ndarray, n_trunc: int) -> np.ndarray:
     """Rounding floor of a value's main sum: eps * log2(N) * sum_{n<N} |n^-s|.
 
@@ -138,10 +149,7 @@ def _em_floor(sigma: np.ndarray, n_trunc: int) -> np.ndarray:
     leaves out the rounding of the phase t log n, which at height is most
     of the true error.
     """
-    one_minus = np.where(np.abs(1.0 - sigma) < 1e-9, 1e-9, 1.0 - sigma)
-    with np.errstate(over="ignore"):
-        absum = 1.0 + np.abs((float(n_trunc) ** np.minimum(one_minus, 300.0) - 1.0) / one_minus)
-    return 1.1e-16 * math.log2(n_trunc) * absum
+    return 1.1e-16 * math.log2(n_trunc) * _abs_sum(sigma, n_trunc)
 
 
 def _truncation(points: np.ndarray) -> int:

@@ -36,7 +36,8 @@ def test_removed_names_stay_removed():
     log_zeta_derivs runs the log Taylor kernel, so its circle knobs and the
     tracked log on a circle are gone; the construction's prime cutoff,
     feasibility margins and tail tolerance, and the curve mean's kernel and
-    tolerance, had no caller that set them; the panel rule places its own nodes."""
+    tolerance, had no caller that set them; the panel rule places its own nodes;
+    the off-block tail bounds and excluded primes of a construction had no reader."""
     import inspect
     from dataclasses import fields
 
@@ -55,6 +56,8 @@ def test_removed_names_stay_removed():
     assert "tol" not in inspect.signature(omega.tail_constants).parameters
     assert not {"kernel", "tol"} & set(inspect.signature(mollifier.mean_over_curve).parameters)
     assert not hasattr(mollifier, "gauss_nodes")
+    assert not {"excluded", "tail_bounds"} & {f.name for f in fields(omega.TailConstants)}
+    assert "tail_bounds" not in {f.name for f in fields(omega.ConstructionReport)}
 
 
 SOURCES = sorted(p for p in Path(zetascope.__file__).parent.glob("*.py") if p.name != "__init__.py")

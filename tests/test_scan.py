@@ -21,13 +21,14 @@ from zetascope.scan import (
     _candidate_indices,
     _refine_all,
     _run_scan,
+    _taylor_model,
     density_estimate,
     refine_hit,
     scan_derivs,
     scan_log_derivs,
     scan_zeta_derivs,
 )
-from zetascope.zeta_engine import log_zeta_derivs, zeta_derivs
+from zetascope.zeta_engine import _abs_sum, _zeta_taylor, log_zeta_derivs, zeta_derivs
 
 
 def test_window_constraint_rejection():
@@ -322,3 +323,95 @@ def test_log_scan_without_a_window_table(monkeypatch):
 
     monkeypatch.setattr(scan_module, "_log_zeta_line", no_table)
     assert expected and [h.tau for h in scan_log_derivs(targets, 0.75, w).hits] == expected
+
+
+@pytest.mark.parametrize("t, h", [(1e4, 25.0), (1e5, 50.0)])
+def test_zeta_scan_hits_land_on_true_minima(t, h):
+    """Every hit of the README's `scan --mode zeta` window (t = 1e4) and of
+    the benchmark's (t = 1e5) lies within 5e-9 of the true minimiser of
+    |zeta(0.9 + i tau) - 1|: the root of Re(conj(zeta - 1) i zeta'), its
+    tau-derivative over 2, one Newton step of mpmath from the hit. Refined
+    on the direct kernel, whose rounding steered the last vertex fits, the
+    hits sat up to 8e-8 away."""
+    result = scan_zeta_derivs((1.0,), 0.9, ScanWindow(t=t, h=h, eps=0.35))
+    assert result.hits
+    with mp.workdps(20):
+        for hit in result.hits:
+            s = mp.mpc(0.9, hit.tau)
+            z0, z1, z2 = (mp.zeta(s, derivative=k) for k in range(3))
+            slope = mp.re(mp.conj(z0 - 1) * 1j * z1)
+            curvature = abs(z1) ** 2 - mp.re(mp.conj(z0 - 1) * z2)
+            assert abs(float(slope / curvature)) < 5e-9, hit.tau
+
+
+@pytest.mark.parametrize("t", [1e3, 1e5])
+def test_taylor_model_within_its_bounds(t, monkeypatch):
+    """At every shift a refinement tries, about adjacent and lone
+    candidates, each order of the Taylor model lies within `_zeta_taylor`'s
+    own error bound there plus the model's truncation bound (log N)^k A
+    (|delta| log N)^m / m!, m = kmax - k + 1, for sigma0 0.51 and 0.9 and
+    n = 1, 7 and 12. Orders are compared apart: order 11 is about 11!
+    (log N)^11 in size."""
+    calls = []
+    real = scan_module._em_series
+    monkeypatch.setattr(scan_module, "_em_series",
+                        lambda s, kmax, n_trunc: calls.append((kmax, n_trunc)) or real(s, kmax, n_trunc))
+    step = ScanWindow(t=t, h=t**0.5, eps=0.35).step
+    taus0 = t + step * np.array([3.25, 4.25, 17.6])
+    for sigma0 in (0.51, 0.9):
+        runs = []
+        for n in (1, 7, 12):
+            derivs = _taylor_model(n, sigma0, taus0, step)
+            b = zeta_derivs(n - 1, complex(sigma0, taus0[1] + 0.3 * step))[0]
+            tried = []
+            _refine_all(taus0, lambda ts: tried.append(np.ravel(ts)) or
+                        np.max(np.abs(derivs(ts) - b), axis=1), step)
+            runs.append((n, derivs, calls[-1], np.concatenate(tried)))
+        points = np.concatenate([p for *_, p in runs])
+        direct, err = _zeta_taylor(sigma0 + 1j * points, 11)
+        a = 0
+        for n, derivs, (kmax, n_trunc), p in runs:
+            delta = np.min(np.abs(p[:, None] - taus0), axis=1)
+            assert np.max(delta) <= step
+            log_n = math.log(n_trunc)
+            ks = np.arange(n)
+            m = kmax - ks + 1
+            trunc = (log_n**ks * _abs_sum(sigma0, n_trunc)
+                     * (delta[:, None] * log_n) ** m / [math.factorial(j) for j in m])
+            gap = np.abs(derivs(p) - direct[a : a + len(p), :n])
+            assert np.all(gap <= err[a : a + len(p), :n] + trunc), (sigma0, n)
+            a += len(p)
+
+
+@pytest.mark.parametrize("targets, window", [
+    ((1.0,), ScanWindow(t=1000.0, h=200.0, eps=0.35)),  # about 4.4k points: 2 chunks
+    (tuple(zeta_derivs(2, 0.75 + 300.0j)[0]), ScanWindow(t=295.0, h=10.0, eps=0.5)),
+])
+def test_zeta_scan_kernel_calls(targets, window, monkeypatch):
+    """A zeta scan calls the Euler-Maclaurin kernel once per grid chunk,
+    once for the Taylor data of all its candidates and once to verify the
+    refined shifts, however many candidates it refines."""
+    calls, refined = [], []
+    real_series, real_refine = scan_module._em_series, scan_module._refine_all
+    monkeypatch.setattr(scan_module, "_em_series",
+                        lambda *a: calls.append(a[1]) or real_series(*a))
+    monkeypatch.setattr(scan_module, "_refine_all",
+                        lambda taus0, *a: refined.append(len(taus0)) or real_refine(taus0, *a))
+    result = scan_zeta_derivs(targets, 0.75, window)
+    chunks = -(-len(window.grid()) // _ZETA_CHUNK)
+    assert refined[0] >= 2 and result.hits
+    assert len(calls) == chunks + 2
+    assert calls[-2] >= len(targets) and calls[-1] == len(targets) - 1
+
+
+def test_coarse_step_refines_on_the_kernel(monkeypatch):
+    """With step log N >= 1 the Taylor model would cancel, so the zeta scan
+    refines on the kernel itself, every call at order n - 1, and still finds
+    the shift its targets came from."""
+    calls = []
+    real = scan_module._em_series
+    monkeypatch.setattr(scan_module, "_em_series", lambda *a: calls.append(a[1]) or real(*a))
+    targets = tuple(zeta_derivs(1, 0.75 + 777.7j)[0])
+    result = scan_zeta_derivs(targets, 0.75, ScanWindow(t=770.0, h=15.0, eps=1e-3, step=0.2))
+    assert len(calls) > 3 and set(calls) == {1}
+    assert any(abs(h.tau - 777.7) < 1e-9 for h in result.hits)
