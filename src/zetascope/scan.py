@@ -1,23 +1,21 @@
 """Grid scan of a window [T, T+H] for shifts matching derivative targets.
 
-One front end, `scan_derivs`, checks the targets once and picks the grid
-objective by mode: log-zeta derivatives (the Omega-result) or plain zeta
-derivatives (the Taylor data of weak universality); `scan_log_derivs` and
-`scan_zeta_derivs` name its two modes. The scan grid is finer than the
-fastest Euler-product oscillation in the window. Every objective takes an
-array of shifts of any shape: the grid goes to it in fixed chunks, each
-evaluated in one batch (4096 points in the zeta mode, for any number of
-targets, one call of the Euler-Maclaurin kernel, whose main sum factors
-the chunk's progression as centres times offsets; 64 in the log mode),
-and the log mode looks log zeta itself up in one branch table of the scan
-line, built once per window before the chunks. Grid dips are then
-polished by nested local refinement of all candidates in lockstep. The log
-mode calls its grid objective once per level; the zeta mode refines on a
-Taylor model of zeta about the candidates, built from one kernel call
-(`_taylor_model`). One more call of the grid objective on the refined
-shifts gives each hit its residuals, so those come from the kernel in both
-modes. Candidate selection keeps a first-order safety margin so a sharp
-minimum sitting between grid points is still caught.
+One front end, `scan_derivs`, checks the targets once and runs one
+pipeline in either mode: plain zeta derivatives (the Taylor data of weak
+universality) or log-zeta derivatives (the Omega-result);
+`scan_zeta_derivs` and `scan_log_derivs` name its two modes. The scan grid
+is finer than the fastest Euler-product oscillation in the window. Both
+modes work on zeta's derivatives to order n - 1, with no error bound, and
+the log mode adds one transform to them: the log-series recurrence, with
+log zeta itself looked up in one branch table of the scan line, built once
+per window. The grid goes to the objective in chunks of `_CHUNK` points,
+each one call of the Euler-Maclaurin kernel, whose main sum factors the
+chunk's progression as centres times offsets. Grid dips are then polished
+by nested local refinement of all candidates in lockstep, on a Taylor
+model of zeta about them from one more kernel call (`_taylor_model`). One
+direct kernel call on the refined shifts gives each hit its residuals.
+Candidate selection keeps a first-order safety margin so a sharp minimum
+sitting between grid points is still caught.
 """
 
 from __future__ import annotations
@@ -33,8 +31,8 @@ from .errors import PathThroughZeroError, WindowConstraintError, ZeroConstantTer
 from .zeta_engine import (
     _abs_sum,
     _em_series,
+    _log_from_zeta,
     _log_zeta_line,
-    _log_zeta_line_derivs,
     _truncation,
     log_zeta_derivs,
 )
@@ -52,9 +50,9 @@ __all__ = [
 
 MAX_ORDER_LOG = 8    # log Taylor kernel bounds, checked against mpmath to order 7
 MAX_ORDER_ZETA = 12  # Taylor kernel bounds, growing like (log N)^k, checked to order 11
-# grid points per objective call: one batch shape, whatever the thread count
-_CHUNK = 64  # log mode
-_ZETA_CHUNK = 4096  # zeta mode: 64 centres x 64 offsets in the factored main sum
+# grid points per objective call: one batch shape, whatever the thread count;
+# 64 centres x 64 offsets in the factored main sum
+_CHUNK = 4096
 
 
 @dataclass(frozen=True)
@@ -80,6 +78,8 @@ class ScanWindow:
         if self.h < h_min or self.h > self.t:
             raise WindowConstraintError(self.t, self.h, self.nu, h_min)
         if self.step is None:
+            if self.t <= 1.0:
+                raise ValueError("the default step 2 pi / (20 log t) needs t > 1; give a step")
             # finer than the fastest oscillation scale log p <= log t
             object.__setattr__(self, "step", 2.0 * math.pi / (20.0 * math.log(self.t)))
         if self.step <= 0:
@@ -130,8 +130,8 @@ def _refine_all(taus0, objective, radius: float):
     """Nested local minimisation of an objective around every tau0, in lockstep.
 
     objective maps an array of shifts of any shape to their values in ravel
-    order: in a scan, the log mode's grid objective or the zeta mode's
-    Taylor model (`_taylor_model`). It is called once on the starting
+    order: in a scan, the max residual on a Taylor model of zeta about the
+    candidates (`_taylor_model`). It is called once on the starting
     points, then per level once on a (K, 21) array, whose rows are
     progressions with the level's common step, and once on the flat array
     of all vertex candidates: at most 7 calls for any number K of starting
@@ -199,36 +199,47 @@ def refine_hit(tau0: float, objective, radius: float) -> Hit:
 def _taylor_model(n: int, sigma0: float, taus0: np.ndarray, step: float):
     """zeta^(k), k < n, at shifts near the sorted candidates taus0, from one Taylor data call.
 
-    The zeta mode's refinement objective. `_em_series` at the candidates c
-    = sigma0 + i taus0, to order kmax, gives a_j = zeta^(j)(c) / j!. At c +
-    i delta, zeta^(k) is sum_{j>=k} j! / (j - k)! a_j (i delta)^(j-k); each
-    order k < n is summed to j = kmax by Horner's rule about the nearest
-    candidate. Every shift refinement tries lies within `step` of its own
-    candidate, so |delta| <= step. Returns derivs(taus), the (size, n)
-    derivatives at the shifts in ravel order.
+    The refinement objective of both scan modes. Every shift refinement
+    tries lies within `step` of its own candidate. Each candidate gets q
+    centres, evenly spaced, q the least odd integer above step log N for the
+    truncation point N of `_truncation` at the centres: taus0 + step (2i + 1
+    - q) / q, i < q, whose middle one is the candidate itself (q = 1 when
+    step log N < 1). Each shift then lies within r = step / q of a centre.
+    `_em_series` at the centres c = sigma0 + i tau_c, to order kmax, gives
+    a_j = zeta^(j)(c) / j!. At c + i delta, zeta^(k) is sum_{j>=k} j! / (j -
+    k)! a_j (i delta)^(j-k); each order k < n is summed to j = kmax by
+    Horner's rule about the nearest centre. Returns derivs(taus), the (size,
+    n) derivatives at the shifts in ravel order.
 
     The order kmax: in the main sum the series of order k is, term by term,
     n^-c (-log n)^k times the Taylor series of e^(-i delta log n), whose
     remainder after degree m - 1 is at most |delta log n|^m / m!, since
-    the exponent is imaginary. With n < N and x = step log N, the part of
+    the exponent is imaginary. With n < N and x = r log N < 1, the part of
     order k left out is at most (log N)^k A x^m / m!, m = kmax - k + 1 >=
     kmax - n + 2, A = sum_{n<N} n^-sigma0 (majorised by `_abs_sum`). The
     Euler-Maclaurin tail is about one more term at n = N, its bracket
-    varying by O(step / t) over the disc, inside the margin by which the
+    varying by O(r / |c - 1|) over the disc, inside the margin by which the
     majorant exceeds A. kmax is the least order whose A x^m / m! at order
     n - 1 is below 2^-53: the rounding of one term of order k's size (log
-    N)^k, far below the direct kernel's own floor (`_zeta_taylor`).
+    N)^k, far below the direct kernel's own floor (`_zeta_taylor`). x < 1
+    keeps the Horner sums, whose terms add up to e^x A (log N)^k, from
+    cancelling.
 
-    Returns None when x >= 1: the Horner sums, whose terms add up to e^x
-    A (log N)^k, would cancel, and the scan refines on the direct kernel.
-    x < 1 also keeps step below a third of every candidate's distance from
-    the pole at s = 1 (tau >= t >= 1), inside the tail's disc of convergence.
+    The pole at s = 1: the tail about c converges on |u| < |c - 1|. Since N
+    >= 24, r < 1 / log N < 1/3, so r is below a third of |c - 1| wherever
+    |Im c| >= 1, as at every centre of a window with t >= step + 1. Nearer
+    the pole, q grows on by 2 until 3 r <= |c - 1| at every centre; that
+    ends, since |c - 1| >= 1 - sigma0 > 0.
     """
-    s = sigma0 + 1j * taus0
-    n_trunc = _truncation(s)
-    x = step * math.log(n_trunc)
-    if not x < 1.0:
-        return None
+    q = 1
+    while True:
+        centres = np.sort((taus0[:, None] + step * (np.arange(1 - q, q, 2) / q)).ravel())
+        s = sigma0 + 1j * centres
+        n_trunc = _truncation(s)
+        x = step / q * math.log(n_trunc)
+        if x < 1.0 and 3.0 * step / q <= float(np.min(np.abs(s - 1.0))):
+            break
+        q += 2
     m, drop = 1, float(_abs_sum(sigma0, n_trunc)) * x
     while drop >= 2.0**-53:
         m += 1
@@ -239,12 +250,12 @@ def _taylor_model(n: int, sigma0: float, taus0: np.ndarray, step: float):
     j = np.arange(kmax + 1)[:, None] + np.arange(n)
     falling = np.array([[math.perm(d + k, k) for k in range(n)] for d in range(kmax + 1)])
     coef = np.where(j <= kmax, a[:, np.minimum(j, kmax)] * falling, 0.0)
-    mids = 0.5 * (taus0[1:] + taus0[:-1])
+    mids = 0.5 * (centres[1:] + centres[:-1])
 
     def derivs(taus):
         t = np.ravel(taus)
         owner = np.searchsorted(mids, t)
-        z = 1j * (t - taus0[owner])[:, None]
+        z = 1j * (t - centres[owner])[:, None]
         c = coef[owner]
         h = c[:, kmax]
         for d in range(kmax - 1, -1, -1):
@@ -273,24 +284,23 @@ def _candidate_indices(vals: np.ndarray, eps: float) -> list:
 
 
 def _run_scan(objective, grid: np.ndarray, window: ScanWindow, sigma0: float,
-              mode: str, threads: int, chunk: int = _CHUNK, model=None) -> ScanResult:
+              mode: str, threads: int, model) -> ScanResult:
     """Shared driver: evaluate the grid, refine candidates, verify hits.
 
     objective(taus) returns (residuals, reasons) at an array of shifts of
     any shape: residuals[i] = |derivs - targets| at the i-th shift in ravel
     order, a row of inf where the shift could not be evaluated, and reasons
     maps those rows to why. The grid goes to the objective in chunks of
-    `chunk` points, shared over `threads` workers; the chunks do not depend
-    on the thread count, so neither do the hits. All candidates are refined
-    together (`_refine_all`) on model(candidates), a max-residual function
-    of shifts within a step of them, or, where model is None or returns
-    None, on the objective's own max residual. One more objective call on
+    `_CHUNK` points, shared over `threads` workers; the chunks do not
+    depend on the thread count, so neither do the hits. All candidates are
+    refined together (`_refine_all`) on model(candidates), a max-residual
+    function of shifts within a step of them. One more objective call on
     the refined shifts gives each hit its residuals; each hit's wall_time is
     the time of that whole refine-and-verify batch.
     """
     t_start = time.monotonic()
-    starts = range(0, len(grid), chunk)
-    eval_chunk = lambda a: objective(grid[a : a + chunk])
+    starts = range(0, len(grid), _CHUNK)
+    eval_chunk = lambda a: objective(grid[a : a + _CHUNK])
     if threads == 1:
         # in this thread: a worker thread gets its own malloc arena,
         # about 4 MiB more peak RSS on a single-threaded scan
@@ -305,16 +315,12 @@ def _run_scan(objective, grid: np.ndarray, window: ScanWindow, sigma0: float,
         reasons.update((a + i, msg) for i, msg in why.items())
     skipped = [{"tau": float(grid[i]), "reason": reasons[i]} for i in sorted(reasons)]
 
-    def max_residual(taus):
-        return np.max(objective(taus)[0], axis=1)
-
     hits = []
     candidates = _candidate_indices(vals, window.eps)
     if candidates:
         t0 = time.monotonic()
         taus0 = grid[candidates]
-        refine = (model and model(taus0)) or max_residual
-        refined, _ = _refine_all(taus0, refine, window.step)
+        refined, _ = _refine_all(taus0, model(taus0), window.step)
         residuals, why = objective(refined)
         batch_time = time.monotonic() - t0
         for i, tau in enumerate(refined.tolist()):
@@ -338,27 +344,27 @@ def scan_derivs(targets, sigma0: float, window: ScanWindow, *, mode: str = "log"
                 threads: int = 1) -> ScanResult:
     """Scan the window for shifts tau where derivatives match the targets.
 
-    mode "log" matches d^k/ds^k log zeta(sigma0 + i tau) and mode "zeta"
-    matches d^k/ds^k zeta(sigma0 + i tau) against targets[k], k < n; the
-    grid objective is max_k |derivative - target|, and dips below the
-    window tolerance become verified hits. The zeta mode calls the
-    Euler-Maclaurin kernel (`zeta_engine._em_series`) at order n - 1 once
-    per chunk, with the chunk's shape, and computes no error bound; it
-    refines all candidates on a Taylor model from one more kernel call at
-    their centres (`_taylor_model`; a step too coarse for the model refines
-    on the kernel itself), and verifies the refined shifts with one direct
-    call. The log
-    mode turns the zeta Taylor data of `zeta_engine._zeta_taylor` into
-    log-zeta derivatives and takes log zeta itself from one branch table of
-    the line (`zeta_engine._log_zeta_line`), built before the chunks over
-    the grid widened by a step each side, which holds every shift
-    refinement tries. A call with a shift the table cannot serve anchors a
-    table of its own run, as does every call when the window's table cannot
-    be built. A log-mode chunk whose own table fails
-    goes one shift at a time through `log_zeta_derivs`; shifts where it
-    fails are skipped and recorded. Hits are verified together. The zeta
-    mode needs a nonzero constant target (a zero one would ask the scan to
-    find a zeta zero off the critical line).
+    mode "zeta" matches d^k/ds^k zeta(sigma0 + i tau) and mode "log" matches
+    d^k/ds^k log zeta(sigma0 + i tau) against targets[k], k < n; the grid
+    objective is max_k |derivative - target|, and dips below the window
+    tolerance become verified hits. Both modes are one pipeline on zeta's
+    derivatives, to order n - 1 with no error bound: on the grid, one call
+    of the Euler-Maclaurin kernel (`zeta_engine._em_series`) per chunk of
+    `_CHUNK` points, with the chunk's shape; in the refinement of all
+    candidates, a Taylor model from one more kernel call about them
+    (`_taylor_model`); and one direct kernel call on the refined shifts,
+    which gives each hit its residuals. The log mode adds one transform,
+    `zeta_engine._log_from_zeta`: the log-series recurrence, with log zeta
+    itself from one branch table of the line (`zeta_engine._log_zeta_line`),
+    built before the chunks over the grid widened by a step each side, which
+    holds every shift refinement tries. A call with a shift the table cannot
+    serve anchors a table of its own run, as does every call when the
+    window's table cannot be built. A chunk whose own table fails goes one
+    shift at a time through `log_zeta_derivs`, and shifts where that fails
+    are skipped and recorded; in the refinement a shift that fails its
+    lookup alone gets residual inf. The zeta mode needs a nonzero constant
+    target (a zero one would ask the scan to find a zeta zero off the
+    critical line).
     """
     if mode not in ("log", "zeta"):
         raise ValueError(f"unknown scan mode {mode!r}; use 'log' or 'zeta'")
@@ -376,7 +382,7 @@ def scan_derivs(targets, sigma0: float, window: ScanWindow, *, mode: str = "log"
     if threads < 1:
         raise ValueError("threads must be at least 1")
 
-    grid, chunk, model = window.grid(), _CHUNK, None
+    grid, line = window.grid(), None
     if mode == "log":
         # refinement stays within one step of a grid point, so the branch
         # table of the grid widened by a step each side serves every call
@@ -384,34 +390,41 @@ def scan_derivs(targets, sigma0: float, window: ScanWindow, *, mode: str = "log"
             line = _log_zeta_line(sigma0, np.concatenate(
                 [[grid[0] - window.step], grid, [grid[-1] + window.step]]))
         except PathThroughZeroError:
-            line = None  # every call anchors its own run
+            pass  # every call anchors its own run
 
-        def objective(taus):
-            taus = np.ravel(taus)
+    def residuals(t, zeta_d, one):
+        """(|derivs - b|, skip reasons) at the flat shifts t, from zeta's
+        derivatives there; one(i) is the log derivatives at t[i] alone."""
+        if mode == "zeta":
+            return np.abs(zeta_d - b), {}
+        try:
+            return np.abs(_log_from_zeta(zeta_d, sigma0, t, line) - b), {}
+        except PathThroughZeroError:
+            pass  # one shift at a time, recording skips
+        resid, reasons = np.full((len(t), n), math.inf), {}
+        for i in range(len(t)):
             try:
-                return np.abs(_log_zeta_line_derivs(n - 1, sigma0, taus, line=line)[0] - b), {}
-            except PathThroughZeroError:
-                pass  # this chunk goes one shift at a time, recording skips
-            resid, reasons = np.full((len(taus), n), math.inf), {}
-            for i, tau in enumerate(taus):
-                try:
-                    resid[i] = np.abs(log_zeta_derivs(n - 1, sigma0, float(tau))[0] - b)
-                except PathThroughZeroError as exc:
-                    reasons[i] = str(exc)
-            return resid, reasons
-    else:
-        # the shape of taus reaches the kernel, which factors rows of progressions
-        fact = np.cumprod(np.maximum(np.arange(n), 1))
-        def objective(taus):
-            s = sigma0 + 1j * np.asarray(taus)
-            return np.abs(_em_series(s, n - 1, _truncation(s.ravel()))[0] * fact - b), {}
-        chunk = _ZETA_CHUNK
-        def model(taus0):  # refinement on a Taylor model about the candidates
-            derivs = _taylor_model(n, sigma0, taus0, window.step)
-            if derivs is not None:
-                return lambda taus: np.max(np.abs(derivs(taus) - b), axis=1)
+                resid[i] = np.abs(one(i) - b)
+            except PathThroughZeroError as exc:
+                reasons[i] = str(exc)
+        return resid, reasons
 
-    return _run_scan(objective, grid, window, sigma0, mode, threads, chunk, model)
+    # the shape of taus reaches the kernel, which factors rows of progressions
+    fact = np.cumprod(np.maximum(np.arange(n), 1))
+    def objective(taus):
+        s, t = sigma0 + 1j * np.asarray(taus), np.ravel(taus)
+        zeta_d = _em_series(s, n - 1, _truncation(s.ravel()))[0] * fact
+        return residuals(t, zeta_d, lambda i: log_zeta_derivs(n - 1, sigma0, float(t[i]))[0])
+
+    def model(taus0):  # the refinement objective, on a Taylor model about the candidates
+        derivs = _taylor_model(n, sigma0, taus0, window.step)
+        def max_residual(taus):
+            t, zeta_d = np.ravel(taus), derivs(taus)
+            one = lambda i: _log_from_zeta(zeta_d[i : i + 1], sigma0, t[i : i + 1], line)[0]
+            return np.max(residuals(t, zeta_d, one)[0], axis=1)
+        return max_residual
+
+    return _run_scan(objective, grid, window, sigma0, mode, threads, model)
 
 
 def scan_log_derivs(targets, sigma0: float, window: ScanWindow, *,

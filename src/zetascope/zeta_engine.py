@@ -17,18 +17,22 @@ remainder of each order. Values and Taylor data differ only in their rounding fl
 certified `zeta` and `zeta_array` are the kernel's order-0 rows
 (`_zeta_eval`) with the floor `_em_floor` of the main sum and the rounding
 of the tail; `_zeta_taylor`, which `zeta_derivs` runs on one centre and
-`_log_zeta_line_derivs` turns into log zeta derivatives, adds absolute
-sums one order up and the phase t log n. `_em_floor` leaves that phase
-out, so at height a value's estimate misses its true error (ROADMAP item
-1, the open defect).
+`log_zeta_derivs` on one shift, adds absolute sums one order up and the
+phase t log n. `_em_floor` leaves that phase out, so at height a value's
+estimate misses its true error (ROADMAP item 1, the open defect). The
+scan (`zetascope.scan`) calls `_em_series` itself, with no bound: on its
+grid, for the Taylor model of its refinement and to verify its hits.
 
 Branch convention: log zeta is the principal branch on the real segment
 (1, inf) and is continued along horizontal segments from sigma = 10, where
 |zeta - 1| < 2^-9 keeps the principal branch unambiguous. Shifts on one
 line Re s = sigma0 share a branch table, `_log_zeta_line`: one track along
 the line, anchored by that continuation at its lowest shift and checked
-against it at its highest. `_log_zeta_line_derivs` looks its shifts up in
-a table, and a log scan builds one table per window.
+against it at its highest. `_log_from_zeta` turns zeta derivatives from
+any source into log zeta derivatives, looking log zeta itself up in a
+table: the log scan's, one per window, or one of the run's own, as in
+`_log_zeta_line_derivs` (`_zeta_taylor`, that transform and a bound), the
+kernel of `log_zeta_derivs`.
 """
 
 from __future__ import annotations
@@ -495,25 +499,19 @@ def _line_arg(line, t: np.ndarray, z: np.ndarray):
     return arg[lo] + step_in
 
 
-def _log_zeta_line_derivs(kmax: int, sigma0: float, taus,
-                          line=None) -> tuple[np.ndarray, np.ndarray]:
-    """d^k/ds^k log zeta at sigma0 + i tau, k <= kmax, for every tau of a run, in one batch.
+def _log_from_zeta(zeta_d: np.ndarray, sigma0: float, t: np.ndarray, line=None) -> np.ndarray:
+    """d^k/ds^k log zeta at sigma0 + i t, k <= kmax, from zeta's derivatives there.
 
-    For k >= 1 the Taylor coefficients a_j of zeta at the points (one
-    batched `_zeta_taylor` call) give those of log zeta by the
-    log-series recurrence b_k = (a_k - (1/k) sum_{0<j<k} j b_j a_{k-j}) / a_0,
-    which needs no branch. log zeta itself is log|a_0| plus the argument
-    looked up (`_line_arg`) in a branch table of the line, `_log_zeta_line`:
-    `line`, a table the caller built once over a wider run, or, when it is
-    None or a shift fails the lookup, a table of this run's own. A failed
-    own table or lookup raises PathThroughZeroError.
-
-    Returns (derivs of shape (len(taus), kmax + 1), per tau a first-order
-    error bound of the k >= 1 values: the largest error bound of the zeta
-    derivatives over |zeta|, times 1 + max_k |derivs|).
+    zeta_d is (len(t), kmax + 1), zeta^(k) at each shift, from any source:
+    the kernel, or a Taylor model of it. For k >= 1 the Taylor coefficients
+    a_j = zeta^(j) / j! give those of log zeta by the log-series recurrence
+    b_k = (a_k - (1/k) sum_{0<j<k} j b_j a_{k-j}) / a_0, which needs no
+    branch. log zeta itself is log|a_0| plus the argument looked up
+    (`_line_arg`) in a branch table of the line, `_log_zeta_line`: `line`,
+    a table the caller built once over a wider run, or, when it is None or
+    a shift fails the lookup, a table of this run's own. A failed own table
+    or lookup raises PathThroughZeroError.
     """
-    t = np.asarray(taus, dtype=float)
-    zeta_d, zeta_err = _zeta_taylor(sigma0 + 1j * t, kmax)
     arg = None if line is None else _line_arg(line, t, zeta_d[:, 0])
     if arg is None:
         arg = _line_arg(_log_zeta_line(sigma0, t), t, zeta_d[:, 0])
@@ -522,15 +520,29 @@ def _log_zeta_line_derivs(kmax: int, sigma0: float, taus,
                 f"a shift in [{t.min():g}, {t.max():g}] on Re s = {sigma0:g} has |zeta| "
                 f"below 1e-12 or turns more than 1 rad from its own line table"
             )
-    fact = np.array([math.factorial(k) for k in range(kmax + 1)], dtype=float)
+    fact = np.array([math.factorial(k) for k in range(zeta_d.shape[1])], dtype=float)
     a = zeta_d / fact
     b = np.empty_like(a)
     b[:, 0] = np.log(np.abs(a[:, 0])) + 1j * arg
-    for k in range(1, kmax + 1):
+    for k in range(1, len(fact)):
         acc = sum(j * b[:, j] * a[:, k - j] for j in range(1, k))
         b[:, k] = (a[:, k] - acc / k) / a[:, 0]
-    derivs = b * fact
-    err = np.max(zeta_err, axis=1) / np.abs(a[:, 0]) * (1.0 + np.max(np.abs(derivs), axis=1))
+    return b * fact
+
+
+def _log_zeta_line_derivs(kmax: int, sigma0: float, taus) -> tuple[np.ndarray, np.ndarray]:
+    """d^k/ds^k log zeta at sigma0 + i tau, k <= kmax, for every tau of a run, in one batch.
+
+    The zeta derivatives of one batched `_zeta_taylor` call, turned into
+    log zeta derivatives by `_log_from_zeta` on a branch table of the run's
+    own. Returns (derivs of shape (len(taus), kmax + 1), per tau a
+    first-order error bound of the k >= 1 values: the largest error bound
+    of the zeta derivatives over |zeta|, times 1 + max_k |derivs|).
+    """
+    t = np.asarray(taus, dtype=float)
+    zeta_d, zeta_err = _zeta_taylor(sigma0 + 1j * t, kmax)
+    derivs = _log_from_zeta(zeta_d, sigma0, t)
+    err = np.max(zeta_err, axis=1) / np.abs(zeta_d[:, 0]) * (1.0 + np.max(np.abs(derivs), axis=1))
     return derivs, err
 
 

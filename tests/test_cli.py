@@ -1,5 +1,6 @@
 import csv
 import json
+import math
 
 import pytest
 
@@ -126,6 +127,31 @@ def test_scan_zeta_zero_b0(capsys):
     )
     assert code == EXIT_INVALID
     assert "b_0" in err
+
+
+def test_scan_default_step_at_t_one_rejected(capsys):
+    """The default grid step 2 pi / (20 log t) has no value at t = 1."""
+    code, _, err = run_cli(
+        capsys, "scan", "--mode", "zeta", "--t", "1", "--h", "1", "--sigma0", "0.9",
+        "--targets", "1.0", "--eps", "0.35",
+    )
+    assert code == EXIT_INVALID
+    assert "t > 1" in err
+
+
+def test_scan_log_readme_command(capsys):
+    """The README's `scan --mode log` command finds the one shift near
+    2003.2863 whose log zeta and its derivative the targets round."""
+    code, out, _ = run_cli(
+        capsys, "scan", "--mode", "log", "--t", "2000", "--h", "12.5", "--sigma0", "0.75",
+        "--targets=0.72804749-0.27156465j", "-1.07329941-0.59113509j", "--eps", "1e-3",
+    )
+    assert code == EXIT_OK
+    lines = [json.loads(l) for l in out.strip().splitlines()]
+    hits = [l for l in lines if "tau" in l]
+    step = 2.0 * math.pi / (20.0 * math.log(2000.0))
+    assert len(hits) == 1 and abs(hits[0]["tau"] - 2003.2863) < step
+    assert max(hits[0]["residuals"]) < 1e-3
 
 
 def test_scan_zero_threads_rejected(capsys):

@@ -37,11 +37,14 @@ def test_removed_names_stay_removed():
     tracked log on a circle are gone; the construction's prime cutoff,
     feasibility margins and tail tolerance, and the curve mean's kernel and
     tolerance, had no caller that set them; the panel rule places its own nodes;
-    the off-block tail bounds and excluded primes of a construction had no reader."""
+    the off-block tail bounds and excluded primes of a construction had no reader;
+    both scan modes share one chunk size, and the log transform takes the
+    scan's branch table, so the zeta chunk, the chunk option and the table
+    option of the batched log kernel are gone."""
     import inspect
     from dataclasses import fields
 
-    from zetascope import mollifier, omega, universality, zeta_engine
+    from zetascope import mollifier, omega, scan, universality, zeta_engine
 
     assert not hasattr(zetascope, "log_zeta_deriv")
     assert not hasattr(zeta_engine, "log_zeta_deriv")
@@ -58,6 +61,9 @@ def test_removed_names_stay_removed():
     assert not hasattr(mollifier, "gauss_nodes")
     assert not {"excluded", "tail_bounds"} & {f.name for f in fields(omega.TailConstants)}
     assert "tail_bounds" not in {f.name for f in fields(omega.ConstructionReport)}
+    assert not hasattr(scan, "_ZETA_CHUNK")
+    assert "chunk" not in inspect.signature(scan._run_scan).parameters
+    assert "line" not in inspect.signature(zeta_engine._log_zeta_line_derivs).parameters
 
 
 SOURCES = sorted(p for p in Path(zetascope.__file__).parent.glob("*.py") if p.name != "__init__.py")

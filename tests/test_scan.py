@@ -14,7 +14,6 @@ from zetascope.errors import (
 )
 from zetascope.scan import (
     _CHUNK,
-    _ZETA_CHUNK,
     Hit,
     ScanResult,
     ScanWindow,
@@ -46,6 +45,10 @@ def test_window_default_step_and_grid():
     g = w.grid()
     assert g[0] == 1000.0
     assert g[-1] <= 1000.0 + 20.0
+    # the default step has no value at t = 1: such a window names its own
+    with pytest.raises(ValueError, match="t > 1"):
+        ScanWindow(t=1.0, h=1.0, eps=0.35)
+    assert ScanWindow(t=1.0, h=1.0, eps=0.35, step=0.1).step == 0.1
 
 
 def test_degenerate_two_point_grid():
@@ -158,16 +161,15 @@ def test_zero_constant_target_rejected():
 def test_thread_determinism():
     """Hits, skips and grid agree across thread counts for every objective."""
     cases = [
-        # 101 points: a full chunk and a partial one
-        ("log", tuple(log_zeta_derivs(1, 0.75, 500.0)[0]),
-         ScanWindow(t=495.0, h=10.0, eps=1e-3, step=0.1)),
+        # 4398 points each: a full chunk and a partial one
+        ("log", tuple(log_zeta_derivs(1, 0.75, 1100.0)[0]),
+         ScanWindow(t=1000.0, h=200.0, eps=1e-3)),
         ("zeta", (1.0,), ScanWindow(t=1000.0, h=10.0, eps=0.35)),
         ("zeta", tuple(zeta_derivs(1, 0.75 + 300.0j)[0]), ScanWindow(t=295.0, h=10.0, eps=1e-2)),
-        # about 4.4k points: a full zeta chunk and a partial one
         ("zeta", (1.0,), ScanWindow(t=1000.0, h=200.0, eps=0.35)),
     ]
-    assert len(cases[0][2].grid()) % _CHUNK and len(cases[0][2].grid()) > _CHUNK
-    assert len(cases[3][2].grid()) % _ZETA_CHUNK and len(cases[3][2].grid()) > _ZETA_CHUNK
+    for i in (0, 3):
+        assert len(cases[i][2].grid()) % _CHUNK and len(cases[i][2].grid()) > _CHUNK
     for mode, targets, w in cases:
         a, *rest = (scan_derivs(targets, 0.75, w, mode=mode, threads=k) for k in (1, 2, 3))
         assert a.hits
@@ -207,7 +209,8 @@ def test_skip_recording():
         resid[bad] = math.inf
         return resid, {int(i): "synthetic zero on path" for i in np.flatnonzero(bad)}
 
-    result = _run_scan(objective, grid, w, 0.75, "log", threads=1)
+    model = lambda taus0: lambda taus: np.max(objective(taus)[0], axis=1)
+    result = _run_scan(objective, grid, w, 0.75, "log", threads=1, model=model)
     assert result.hits == []
     assert any(abs(s["tau"] - 12.0) < 0.5 for s in result.skipped)
 
@@ -278,7 +281,7 @@ def test_log_chunk_falls_back_to_per_point(monkeypatch):
     that meets a zero is recorded as a skip, as before."""
     real = scan_module.log_zeta_derivs
 
-    def failing_line(kmax, sigma0, taus, line=None):
+    def failing_line(zeta_d, sigma0, t, line=None):
         raise PathThroughZeroError("synthetic continuation failure")
 
     def per_point(kmax, sigma0, t, **kwargs):
@@ -286,7 +289,7 @@ def test_log_chunk_falls_back_to_per_point(monkeypatch):
             raise PathThroughZeroError("synthetic zero on circle")
         return real(kmax, sigma0, t, **kwargs)
 
-    monkeypatch.setattr(scan_module, "_log_zeta_line_derivs", failing_line)
+    monkeypatch.setattr(scan_module, "_log_from_zeta", failing_line)
     monkeypatch.setattr(scan_module, "log_zeta_derivs", per_point)
     targets = tuple(real(1, 0.75, 500.0)[0])
     result = scan_log_derivs(targets, 0.75, ScanWindow(t=495.0, h=10.0, eps=1e-3, step=0.25))
@@ -296,8 +299,8 @@ def test_log_chunk_falls_back_to_per_point(monkeypatch):
 
 def test_log_scan_anchors_the_branch_once(monkeypatch):
     """A log scan continues log zeta horizontally once at each end of its
-    window, however many chunks and refined candidates: the benchmark's
-    window of 303 points (5 chunks) at height 2000."""
+    window, however many chunks and refined candidates: a window of 4839
+    points (2 chunks) at the benchmark's height 2000."""
     targets = tuple(log_zeta_derivs(1, 0.75, 2003.2862719709167)[0])
     anchors, refined = [], []
     real_anchor, real_refine = zeta_engine.log_zeta_tracked, scan_module._refine_all
@@ -305,9 +308,9 @@ def test_log_scan_anchors_the_branch_once(monkeypatch):
                         lambda *a: anchors.append(a) or real_anchor(*a))
     monkeypatch.setattr(scan_module, "_refine_all",
                         lambda taus0, *a: refined.append(len(taus0)) or real_refine(taus0, *a))
-    w = ScanWindow(t=2000.0, h=12.5, eps=0.6)
+    w = ScanWindow(t=2000.0, h=200.0, eps=0.6)
     result = scan_log_derivs(targets, 0.75, w)
-    assert len(w.grid()) > 4 * _CHUNK and refined[0] >= 2 and result.hits
+    assert len(w.grid()) > _CHUNK and refined[0] >= 2 and result.hits
     assert len(anchors) <= 2
 
 
@@ -344,19 +347,22 @@ def test_zeta_scan_hits_land_on_true_minima(t, h):
             assert abs(float(slope / curvature)) < 5e-9, hit.tau
 
 
-@pytest.mark.parametrize("t", [1e3, 1e5])
-def test_taylor_model_within_its_bounds(t, monkeypatch):
+@pytest.mark.parametrize("t, step", [(1e3, None), (1e5, None), (1e3, 0.5)],
+                         ids=["1000.0", "100000.0", "1000.0-coarse"])
+def test_taylor_model_within_its_bounds(t, step, monkeypatch):
     """At every shift a refinement tries, about adjacent and lone
     candidates, each order of the Taylor model lies within `_zeta_taylor`'s
     own error bound there plus the model's truncation bound (log N)^k A
-    (|delta| log N)^m / m!, m = kmax - k + 1, for sigma0 0.51 and 0.9 and
-    n = 1, 7 and 12. Orders are compared apart: order 11 is about 11!
-    (log N)^11 in size."""
+    (|delta| log N)^m / m!, m = kmax - k + 1, with delta the distance to
+    the nearest of the model's centres, for sigma0 0.51 and 0.9 and n = 1,
+    7 and 12. Orders are compared apart: order 11 is about 11! (log N)^11
+    in size. At the default step, step log N < 1 and the centres are the
+    candidates; at step 0.5 it is about 2.9, and each candidate gets 3."""
     calls = []
     real = scan_module._em_series
     monkeypatch.setattr(scan_module, "_em_series",
-                        lambda s, kmax, n_trunc: calls.append((kmax, n_trunc)) or real(s, kmax, n_trunc))
-    step = ScanWindow(t=t, h=t**0.5, eps=0.35).step
+                        lambda s, kmax, n_trunc: calls.append((s, kmax, n_trunc)) or real(s, kmax, n_trunc))
+    step = ScanWindow(t=t, h=t**0.5, eps=0.35, step=step).step
     taus0 = t + step * np.array([3.25, 4.25, 17.6])
     for sigma0 in (0.51, 0.9):
         runs = []
@@ -370,10 +376,12 @@ def test_taylor_model_within_its_bounds(t, monkeypatch):
         points = np.concatenate([p for *_, p in runs])
         direct, err = _zeta_taylor(sigma0 + 1j * points, 11)
         a = 0
-        for n, derivs, (kmax, n_trunc), p in runs:
-            delta = np.min(np.abs(p[:, None] - taus0), axis=1)
-            assert np.max(delta) <= step
+        for n, derivs, (s, kmax, n_trunc), p in runs:
+            q = len(s) // len(taus0)
             log_n = math.log(n_trunc)
+            assert q == (1 if step * log_n < 1.0 else 3)
+            delta = np.min(np.abs(p[:, None] - s.imag), axis=1)
+            assert np.max(delta) <= step / q
             ks = np.arange(n)
             m = kmax - ks + 1
             trunc = (log_n**ks * _abs_sum(sigma0, n_trunc)
@@ -398,20 +406,58 @@ def test_zeta_scan_kernel_calls(targets, window, monkeypatch):
     monkeypatch.setattr(scan_module, "_refine_all",
                         lambda taus0, *a: refined.append(len(taus0)) or real_refine(taus0, *a))
     result = scan_zeta_derivs(targets, 0.75, window)
-    chunks = -(-len(window.grid()) // _ZETA_CHUNK)
+    chunks = -(-len(window.grid()) // _CHUNK)
     assert refined[0] >= 2 and result.hits
     assert len(calls) == chunks + 2
     assert calls[-2] >= len(targets) and calls[-1] == len(targets) - 1
 
 
-def test_coarse_step_refines_on_the_kernel(monkeypatch):
-    """With step log N >= 1 the Taylor model would cancel, so the zeta scan
-    refines on the kernel itself, every call at order n - 1, and still finds
-    the shift its targets came from."""
-    calls = []
-    real = scan_module._em_series
-    monkeypatch.setattr(scan_module, "_em_series", lambda *a: calls.append(a[1]) or real(*a))
-    targets = tuple(zeta_derivs(1, 0.75 + 777.7j)[0])
-    result = scan_zeta_derivs(targets, 0.75, ScanWindow(t=770.0, h=15.0, eps=1e-3, step=0.2))
-    assert len(calls) > 3 and set(calls) == {1}
-    assert any(abs(h.tau - 777.7) < 1e-9 for h in result.hits)
+@pytest.mark.parametrize("mode, tau, window", [
+    ("zeta", 777.7, ScanWindow(t=770.0, h=15.0, eps=1e-3, step=0.2)),
+    ("log", 500.0, ScanWindow(t=495.1, h=10.0, eps=1e-3, step=0.2)),
+], ids=["zeta", "log"])
+def test_coarse_step_scans_refine_on_the_model(mode, tau, window, monkeypatch):
+    """With step log N >= 1 the Taylor model puts several centres about each
+    candidate, so a coarse-step scan of either mode still makes one kernel
+    call per chunk, one for the model and one to verify, and lands on the
+    shift its targets came from: midway between two grid points, on the
+    grid of the first refinement level."""
+    calls, refined = [], []
+    real_series, real_refine = scan_module._em_series, scan_module._refine_all
+    monkeypatch.setattr(scan_module, "_em_series", lambda *a: calls.append(a) or real_series(*a))
+    monkeypatch.setattr(scan_module, "_refine_all",
+                        lambda taus0, *a: refined.append(len(taus0)) or real_refine(taus0, *a))
+    if mode == "zeta":
+        targets = tuple(zeta_derivs(1, complex(0.75, tau))[0])
+    else:
+        targets = tuple(log_zeta_derivs(1, 0.75, tau)[0])
+    result = scan_derivs(targets, 0.75, window, mode=mode)
+    assert np.min(np.abs(window.grid() - tau)) > 0.4 * window.step
+    assert window.step * math.log(calls[0][2]) >= 1.0
+    assert len(calls) == -(-len(window.grid()) // _CHUNK) + 2
+    assert calls[-2][0].size >= 3 * refined[0]
+    assert any(abs(h.tau - tau) < 1e-9 for h in result.hits)
+
+
+def test_log_scan_hits_land_on_true_minima():
+    """Every hit of a one-target log scan on the benchmark's window (t =
+    2000) lies within 5e-9 of the true minimiser of |L(tau) - b|, L = log
+    zeta(0.75 + i tau) on the branch of b: the root of Re(conj(L - b) i L'),
+    one Newton step of mpmath from the hit. The target sits 0.1 off log
+    zeta at a point, so the minimum is smooth. Refined on the direct kernel
+    rather than the Taylor model, the hits sat up to 1.9e-8 away."""
+    b = log_zeta_derivs(0, 0.75, 2003.2862719709167)[0][0] + 0.1
+    result = scan_log_derivs((b,), 0.75, ScanWindow(t=2000.0, h=12.5, eps=0.5))
+    assert result.hits
+    with mp.workdps(20):
+        for hit in result.hits:
+            s = mp.mpc(0.75, hit.tau)
+            z0, z1, z2 = (mp.zeta(s, derivative=k) for k in range(3))
+            principal = mp.log(z0)
+            k = round((b.imag - float(mp.im(principal))) / (2 * math.pi))
+            lz = principal + 2j * mp.pi * k - b
+            l1 = z1 / z0
+            l2 = z2 / z0 - l1**2
+            slope = mp.re(mp.conj(lz) * 1j * l1)
+            curvature = abs(l1) ** 2 - mp.re(mp.conj(lz) * l2)
+            assert abs(float(slope / curvature)) < 5e-9, hit.tau

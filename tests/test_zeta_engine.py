@@ -384,14 +384,17 @@ def _no_own_table(sigma0, taus):
 def _from_table(kmax, sigma, taus):
     """Looked up in the branch table of a grid of step 0.13 widened by a step
     each side, as a log scan builds it: no shift is a table point, and the
-    last lies outside the grid, within a step."""
+    last lies outside the grid, within a step. The bound is the batched
+    call's, which the table changes only through log zeta itself."""
     grid = taus[0] - 0.05 + 0.13 * np.arange(3)
     line = zeta_engine._log_zeta_line(sigma, np.concatenate([[grid[0] - 0.13], grid,
                                                              [grid[-1] + 0.13]]))
     assert not np.isin(taus, line[0]).any() and taus[-1] > grid[-1]
+    zeta_d = _zeta_taylor(sigma + 1j * taus, kmax)[0]
+    err = _batched(kmax, sigma, taus)[1]
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(zeta_engine, "_log_zeta_line", _no_own_table)
-        return zeta_engine._log_zeta_line_derivs(kmax, sigma, taus, line=line)
+        return zeta_engine._log_from_zeta(zeta_d, sigma, taus, line), err
 
 
 @pytest.mark.parametrize("evaluate, kmax, tau", [
@@ -420,7 +423,9 @@ def test_table_miss_anchors_an_own_table(monkeypatch):
     (a principal step above 1 rad to the next table point), gives the
     derivatives of line=None: the call anchors a table of its own run."""
     taus = 2000.0 + np.array([0.0, 0.15, 0.3])
-    own = zeta_engine._log_zeta_line_derivs(2, 0.75, taus)
+    zeta_d = _zeta_taylor(0.75 + 1j * taus, 2)[0]
+    own = zeta_engine._log_from_zeta(zeta_d, 0.75, taus)
+    assert np.array_equal(own, zeta_engine._log_zeta_line_derivs(2, 0.75, taus)[0])
     short = zeta_engine._log_zeta_line(0.75, 2000.0 + 0.1 * np.arange(-1, 3))
     params, vals, arg = zeta_engine._log_zeta_line(0.75, np.linspace(1998.0, 2002.0, 41))
     ends = np.searchsorted(params, [1999.0, 2001.0])  # zeta turns by 1.74 rad between
@@ -430,8 +435,7 @@ def test_table_miss_anchors_an_own_table(monkeypatch):
     monkeypatch.setattr(zeta_engine, "log_zeta_tracked",
                         lambda *a: anchors.append(a) or real(*a))
     for line in (short, coarse):
-        derivs, err = zeta_engine._log_zeta_line_derivs(2, 0.75, taus, line=line)
-        assert np.array_equal(derivs, own[0]) and np.array_equal(err, own[1])
+        assert np.array_equal(zeta_engine._log_from_zeta(zeta_d, 0.75, taus, line), own)
     assert len(anchors) == 4
 
 
