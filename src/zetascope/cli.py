@@ -173,9 +173,11 @@ def cmd_scan(args) -> int:
         targets = tuple(parse_complex(t) for t in args.targets)
         window = ScanWindow(t=args.t, h=args.h, eps=args.eps, nu=args.nu,
                             step=args.step)
+        if args.csv_out:  # an unwritable path is refused before the scan runs
+            open(args.csv_out, "a").close()
         result = scan_derivs(targets, args.sigma0, window, mode=args.mode,
                              threads=_threads(args))
-    except (ValueError, WindowConstraintError, ZeroConstantTermError) as exc:
+    except (ValueError, WindowConstraintError, ZeroConstantTermError, OSError) as exc:
         return _fail(str(exc), EXIT_INVALID)
     except ZetascopeError as exc:
         return _fail(str(exc), EXIT_NUMERICAL)

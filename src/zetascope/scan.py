@@ -4,18 +4,20 @@ One front end, `scan_derivs`, checks the targets once and runs one
 pipeline in either mode: plain zeta derivatives (the Taylor data of weak
 universality) or log-zeta derivatives (the Omega-result);
 `scan_zeta_derivs` and `scan_log_derivs` name its two modes. The scan grid
-is finer than the fastest Euler-product oscillation in the window. Both
-modes work on zeta's derivatives to order n - 1, with no error bound, and
-the log mode adds one transform to them: the log-series recurrence, with
-log zeta itself looked up in one branch table of the scan line, built once
-per window. The grid goes to the objective in chunks of `_CHUNK` points,
-each one call of the Euler-Maclaurin kernel, whose main sum factors the
-chunk's progression as centres times offsets. Grid dips are then polished
-by nested local refinement of all candidates in lockstep, on a Taylor
-model of zeta about them from one more kernel call (`_taylor_model`). One
-direct kernel call on the refined shifts gives each hit its residuals.
-Candidate selection keeps a first-order safety margin so a sharp minimum
-sitting between grid points is still caught.
+is finer than the fastest Euler-product oscillation in the window. The
+scan reads zeta one way, through the Taylor model of
+`zeta_engine._taylor_model`: zeta's derivatives to order n - 1, with no
+error bound, from one Euler-Maclaurin kernel call about a set of shifts.
+The pipeline `_run_scan` builds it at step 0 about each chunk of `_CHUNK`
+grid points, where it gives the kernel's values; at the window's step about
+all grid dips, which nested local refinement polishes in lockstep
+(`_refine_all`); and at step 0 about the refined shifts, which gives each
+hit its residuals. The log mode adds one transform,
+`zeta_engine._log_from_zeta`: the log-series recurrence, with log zeta
+itself looked up in one branch table of the scan line, built once per
+window (`zeta_engine._log_zeta_line`). Candidate selection keeps a
+first-order safety margin so a sharp minimum sitting between grid points is
+still caught.
 """
 
 from __future__ import annotations
@@ -28,14 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import PathThroughZeroError, WindowConstraintError, ZeroConstantTermError
-from .zeta_engine import (
-    _abs_sum,
-    _em_series,
-    _log_from_zeta,
-    _log_zeta_line,
-    _truncation,
-    log_zeta_derivs,
-)
+from .zeta_engine import _log_from_zeta, _log_zeta_line, _taylor_model
 
 __all__ = [
     "ScanWindow",
@@ -96,7 +91,6 @@ class Hit:
 
     tau: float
     residuals: tuple
-    refined: bool
     wall_time: float = 0.0
 
     @property
@@ -110,7 +104,6 @@ class Hit:
             "n": len(self.residuals),
             "eps": eps,
             "residuals": list(self.residuals),
-            "refined": self.refined,
             "wall_time": self.wall_time,
         }
 
@@ -131,13 +124,12 @@ def _refine_all(taus0, objective, radius: float):
 
     objective maps an array of shifts of any shape to their values in ravel
     order: in a scan, the max residual on a Taylor model of zeta about the
-    candidates (`_taylor_model`). It is called once on the starting
-    points, then per level once on a (K, 21) array, whose rows are
-    progressions with the level's common step, and once on the flat array
-    of all vertex candidates: at most 7 calls for any number K of starting
-    points. Three grid levels shrink by a factor 10, each followed by a
-    vertex fit that handles both smooth (parabolic) and kinked (V-shaped)
-    minima; the fit needs a finite bracketing triple. A level
+    candidates (`zeta_engine._taylor_model`). It is called once on the
+    starting points, then per level once on a (K, 21) array and once on
+    the flat array of all vertex candidates: at most 7 calls for any number
+    K of starting points. Three grid levels shrink by a factor 10, each
+    followed by a vertex fit that handles both smooth (parabolic) and kinked
+    (V-shaped) minima; the fit needs a finite bracketing triple. A level
     grid slides inside [tau0 - radius, tau0 + radius] rather than being
     clipped, and no search leaves that interval. Returns (best shifts, their
     values), one per starting point; the first of equal values is kept.
@@ -193,76 +185,7 @@ def refine_hit(tau0: float, objective, radius: float) -> Hit:
     search never leaves [tau0 - radius, tau0 + radius].
     """
     t, v = _refine_all([tau0], lambda ts: objective(np.ravel(ts)), radius)
-    return Hit(tau=float(t[0]), residuals=(float(v[0]),), refined=True)
-
-
-def _taylor_model(n: int, sigma0: float, taus0: np.ndarray, step: float):
-    """zeta^(k), k < n, at shifts near the sorted candidates taus0, from one Taylor data call.
-
-    The refinement objective of both scan modes. Every shift refinement
-    tries lies within `step` of its own candidate. Each candidate gets q
-    centres, evenly spaced, q the least odd integer above step log N for the
-    truncation point N of `_truncation` at the centres: taus0 + step (2i + 1
-    - q) / q, i < q, whose middle one is the candidate itself (q = 1 when
-    step log N < 1). Each shift then lies within r = step / q of a centre.
-    `_em_series` at the centres c = sigma0 + i tau_c, to order kmax, gives
-    a_j = zeta^(j)(c) / j!. At c + i delta, zeta^(k) is sum_{j>=k} j! / (j -
-    k)! a_j (i delta)^(j-k); each order k < n is summed to j = kmax by
-    Horner's rule about the nearest centre. Returns derivs(taus), the (size,
-    n) derivatives at the shifts in ravel order.
-
-    The order kmax: in the main sum the series of order k is, term by term,
-    n^-c (-log n)^k times the Taylor series of e^(-i delta log n), whose
-    remainder after degree m - 1 is at most |delta log n|^m / m!, since
-    the exponent is imaginary. With n < N and x = r log N < 1, the part of
-    order k left out is at most (log N)^k A x^m / m!, m = kmax - k + 1 >=
-    kmax - n + 2, A = sum_{n<N} n^-sigma0 (majorised by `_abs_sum`). The
-    Euler-Maclaurin tail is about one more term at n = N, its bracket
-    varying by O(r / |c - 1|) over the disc, inside the margin by which the
-    majorant exceeds A. kmax is the least order whose A x^m / m! at order
-    n - 1 is below 2^-53: the rounding of one term of order k's size (log
-    N)^k, far below the direct kernel's own floor (`_zeta_taylor`). x < 1
-    keeps the Horner sums, whose terms add up to e^x A (log N)^k, from
-    cancelling.
-
-    The pole at s = 1: the tail about c converges on |u| < |c - 1|. Since N
-    >= 24, r < 1 / log N < 1/3, so r is below a third of |c - 1| wherever
-    |Im c| >= 1, as at every centre of a window with t >= step + 1. Nearer
-    the pole, q grows on by 2 until 3 r <= |c - 1| at every centre; that
-    ends, since |c - 1| >= 1 - sigma0 > 0.
-    """
-    q = 1
-    while True:
-        centres = np.sort((taus0[:, None] + step * (np.arange(1 - q, q, 2) / q)).ravel())
-        s = sigma0 + 1j * centres
-        n_trunc = _truncation(s)
-        x = step / q * math.log(n_trunc)
-        if x < 1.0 and 3.0 * step / q <= float(np.min(np.abs(s - 1.0))):
-            break
-        q += 2
-    m, drop = 1, float(_abs_sum(sigma0, n_trunc)) * x
-    while drop >= 2.0**-53:
-        m += 1
-        drop *= x / m
-    kmax = n - 2 + m
-    a = _em_series(s, kmax, n_trunc)[0]
-    # coef[c, d, k] = (k + d)! / d! a_(k+d), the coefficient of (i delta)^d in order k
-    j = np.arange(kmax + 1)[:, None] + np.arange(n)
-    falling = np.array([[math.perm(d + k, k) for k in range(n)] for d in range(kmax + 1)])
-    coef = np.where(j <= kmax, a[:, np.minimum(j, kmax)] * falling, 0.0)
-    mids = 0.5 * (centres[1:] + centres[:-1])
-
-    def derivs(taus):
-        t = np.ravel(taus)
-        owner = np.searchsorted(mids, t)
-        z = 1j * (t - centres[owner])[:, None]
-        c = coef[owner]
-        h = c[:, kmax]
-        for d in range(kmax - 1, -1, -1):
-            h = h * z + c[:, d]
-        return h
-
-    return derivs
+    return Hit(tau=float(t[0]), residuals=(float(v[0]),))
 
 
 def _candidate_indices(vals: np.ndarray, eps: float) -> list:
@@ -283,24 +206,29 @@ def _candidate_indices(vals: np.ndarray, eps: float) -> list:
     return np.flatnonzero(keep).tolist()
 
 
-def _run_scan(objective, grid: np.ndarray, window: ScanWindow, sigma0: float,
-              mode: str, threads: int, model) -> ScanResult:
+def _run_scan(fit, grid: np.ndarray, window: ScanWindow, sigma0: float,
+              mode: str, threads: int) -> ScanResult:
     """Shared driver: evaluate the grid, refine candidates, verify hits.
 
-    objective(taus) returns (residuals, reasons) at an array of shifts of
-    any shape: residuals[i] = |derivs - targets| at the i-th shift in ravel
-    order, a row of inf where the shift could not be evaluated, and reasons
-    maps those rows to why. The grid goes to the objective in chunks of
-    `_CHUNK` points, shared over `threads` workers; the chunks do not
-    depend on the thread count, so neither do the hits. All candidates are
-    refined together (`_refine_all`) on model(candidates), a max-residual
-    function of shifts within a step of them. One more objective call on
-    the refined shifts gives each hit its residuals; each hit's wall_time is
-    the time of that whole refine-and-verify batch.
+    fit(taus0, step) returns a function of shifts within step of taus0,
+    which gives (residuals, reasons) at an array of them of any shape:
+    residuals[i] = |derivs - targets| at the i-th shift in ravel order, a row
+    of inf where the shift could not be evaluated, and reasons maps those
+    rows to why. Each chunk of `_CHUNK` grid points is fit(chunk, 0) on the
+    chunk; the chunks are shared over `threads` workers and do not depend
+    on the thread count, so neither do the hits. All candidates are refined
+    together (`_refine_all`) on the max residual of fit(candidates,
+    window.step). fit(refined, 0) on the refined shifts gives each hit its
+    residuals, and records as skips the shifts it could not evaluate; each
+    hit's wall_time is the time of that whole refine-and-verify batch.
     """
     t_start = time.monotonic()
     starts = range(0, len(grid), _CHUNK)
-    eval_chunk = lambda a: objective(grid[a : a + _CHUNK])
+
+    def eval_chunk(a):
+        chunk = grid[a : a + _CHUNK]
+        return fit(chunk, 0.0)(chunk)
+
     if threads == 1:
         # in this thread: a worker thread gets its own malloc arena,
         # about 4 MiB more peak RSS on a single-threaded scan
@@ -320,14 +248,15 @@ def _run_scan(objective, grid: np.ndarray, window: ScanWindow, sigma0: float,
     if candidates:
         t0 = time.monotonic()
         taus0 = grid[candidates]
-        refined, _ = _refine_all(taus0, model(taus0), window.step)
-        residuals, why = objective(refined)
+        model = fit(taus0, window.step)
+        refined, _ = _refine_all(taus0, lambda ts: np.max(model(ts)[0], axis=1), window.step)
+        residuals, why = fit(refined, 0.0)(refined)
         batch_time = time.monotonic() - t0
         for i, tau in enumerate(refined.tolist()):
             if i in why:
                 skipped.append({"tau": tau, "reason": why[i]})
             elif float(np.max(residuals[i])) < window.eps:
-                hits.append(Hit(tau=tau, residuals=tuple(residuals[i].tolist()), refined=True,
+                hits.append(Hit(tau=tau, residuals=tuple(residuals[i].tolist()),
                                 wall_time=batch_time))
     # adjacent grid dips can land on the same minimum; keep the first
     deduped = []
@@ -348,21 +277,22 @@ def scan_derivs(targets, sigma0: float, window: ScanWindow, *, mode: str = "log"
     d^k/ds^k log zeta(sigma0 + i tau) against targets[k], k < n; the grid
     objective is max_k |derivative - target|, and dips below the window
     tolerance become verified hits. Both modes are one pipeline on zeta's
-    derivatives, to order n - 1 with no error bound: on the grid, one call
-    of the Euler-Maclaurin kernel (`zeta_engine._em_series`) per chunk of
-    `_CHUNK` points, with the chunk's shape; in the refinement of all
-    candidates, a Taylor model from one more kernel call about them
-    (`_taylor_model`); and one direct kernel call on the refined shifts,
-    which gives each hit its residuals. The log mode adds one transform,
-    `zeta_engine._log_from_zeta`: the log-series recurrence, with log zeta
-    itself from one branch table of the line (`zeta_engine._log_zeta_line`),
-    built before the chunks over the grid widened by a step each side, which
-    holds every shift refinement tries. A call with a shift the table cannot
-    serve anchors a table of its own run, as does every call when the
-    window's table cannot be built. A chunk whose own table fails goes one
-    shift at a time through `log_zeta_derivs`, and shifts where that fails
-    are skipped and recorded; in the refinement a shift that fails its
-    lookup alone gets residual inf. The zeta mode needs a nonzero constant
+    derivatives, to order n - 1 with no error bound, all read through one
+    closure, fit(taus0, step): the Taylor model `zeta_engine._taylor_model`
+    of one kernel call about taus0, and on it the residuals at shifts within
+    step of them. `_run_scan` calls it at step 0 per grid chunk and on the
+    refined shifts, where it gives the kernel's values, and at the window's
+    step about the candidates of the refinement. The log mode adds one
+    transform, `zeta_engine._log_from_zeta`: the log-series recurrence, with
+    log zeta itself from one branch table of the line
+    (`zeta_engine._log_zeta_line`), built before the chunks over the grid
+    widened by a step each side, which holds every shift refinement tries.
+    A batch with a shift the table cannot serve anchors a table of its own
+    run, as does every batch when the window's table cannot be built. A
+    batch whose own table fails goes one shift at a time through the same
+    transform, on the zeta data already computed; a shift that still fails
+    is skipped and recorded on the grid and in the verification, and gets
+    residual inf in the refinement. The zeta mode needs a nonzero constant
     target (a zero one would ask the scan to find a zeta zero off the
     critical line).
     """
@@ -392,39 +322,31 @@ def scan_derivs(targets, sigma0: float, window: ScanWindow, *, mode: str = "log"
         except PathThroughZeroError:
             pass  # every call anchors its own run
 
-    def residuals(t, zeta_d, one):
-        """(|derivs - b|, skip reasons) at the flat shifts t, from zeta's
-        derivatives there; one(i) is the log derivatives at t[i] alone."""
-        if mode == "zeta":
-            return np.abs(zeta_d - b), {}
-        try:
-            return np.abs(_log_from_zeta(zeta_d, sigma0, t, line) - b), {}
-        except PathThroughZeroError:
-            pass  # one shift at a time, recording skips
-        resid, reasons = np.full((len(t), n), math.inf), {}
-        for i in range(len(t)):
+    def fit(taus0, step):
+        """The function giving (|derivs - b|, skip reasons) at shifts within step of taus0."""
+        derivs = _taylor_model(n, sigma0, taus0, step)
+
+        def residuals(taus):
+            t = np.ravel(taus)
+            zeta_d = derivs(t)
+            if mode == "zeta":
+                return np.abs(zeta_d - b), {}
             try:
-                resid[i] = np.abs(one(i) - b)
-            except PathThroughZeroError as exc:
-                reasons[i] = str(exc)
-        return resid, reasons
+                return np.abs(_log_from_zeta(zeta_d, sigma0, t, line) - b), {}
+            except PathThroughZeroError:
+                pass  # one shift at a time, recording skips
+            resid, reasons = np.full((len(t), n), math.inf), {}
+            for i in range(len(t)):
+                try:
+                    log_d = _log_from_zeta(zeta_d[i : i + 1], sigma0, t[i : i + 1], line)
+                    resid[i] = np.abs(log_d[0] - b)
+                except PathThroughZeroError as exc:
+                    reasons[i] = str(exc)
+            return resid, reasons
 
-    # the shape of taus reaches the kernel, which factors rows of progressions
-    fact = np.cumprod(np.maximum(np.arange(n), 1))
-    def objective(taus):
-        s, t = sigma0 + 1j * np.asarray(taus), np.ravel(taus)
-        zeta_d = _em_series(s, n - 1, _truncation(s.ravel()))[0] * fact
-        return residuals(t, zeta_d, lambda i: log_zeta_derivs(n - 1, sigma0, float(t[i]))[0])
+        return residuals
 
-    def model(taus0):  # the refinement objective, on a Taylor model about the candidates
-        derivs = _taylor_model(n, sigma0, taus0, window.step)
-        def max_residual(taus):
-            t, zeta_d = np.ravel(taus), derivs(taus)
-            one = lambda i: _log_from_zeta(zeta_d[i : i + 1], sigma0, t[i : i + 1], line)[0]
-            return np.max(residuals(t, zeta_d, one)[0], axis=1)
-        return max_residual
-
-    return _run_scan(objective, grid, window, sigma0, mode, threads, model)
+    return _run_scan(fit, grid, window, sigma0, mode, threads)
 
 
 def scan_log_derivs(targets, sigma0: float, window: ScanWindow, *,

@@ -7,21 +7,21 @@ kmax at every point of an input of any shape, with a truncation point
 terms shrink geometrically once the truncation point passes |Im s| /
 (2 pi). Its main sum is one blocked loop, `_blocked_sum`: a matrix product
 of n^-c_j and the right factor n^-z_m (-log n)^k / k! per block of n. An
-evenly spaced input is ceil(L / M) centres c_j plus M = ceil(sqrt L) steps
-z_m, so about 2 sqrt(L) exponentials per n serve L points, and K rows of L
-points, each a progression with one common step, are K ceil(L / M) centres
-plus the same M steps; any other input is its own centres with the one
-offset 0, and at kmax = 0 a row sum. Its tail is a power series about
-each point, summed by Horner's rule, and `_em_remainder` bounds the
-remainder of each order. Values and Taylor data differ only in their rounding floor: the
-certified `zeta` and `zeta_array` are the kernel's order-0 rows
-(`_zeta_eval`) with the floor `_em_floor` of the main sum and the rounding
-of the tail; `_zeta_taylor`, which `zeta_derivs` runs on one centre and
-`log_zeta_derivs` on one shift, adds absolute sums one order up and the
-phase t log n. `_em_floor` leaves that phase out, so at height a value's
-estimate misses its true error (ROADMAP item 1, the open defect). The
-scan (`zetascope.scan`) calls `_em_series` itself, with no bound: on its
-grid, for the Taylor model of its refinement and to verify its hits.
+input whose points, raveled, form an arithmetic progression of L points is
+ceil(L / M) centres c_j plus M = ceil(sqrt L) steps z_m, so about 2 sqrt(L)
+exponentials per n serve L points; any other input is its own centres with
+the one offset 0, and at kmax = 0 a row sum. Its tail is a power series
+about each point, summed by Horner's rule, and `_em_remainder` bounds the
+remainder of each order. Values and Taylor data differ only in their
+rounding floor: the certified `zeta` and `zeta_array` are the kernel's
+order-0 rows (`_zeta_eval`) with the floor `_em_floor` of the main sum and
+the rounding of the tail; `_zeta_taylor`, which `zeta_derivs` runs on one
+centre and `log_zeta_derivs` on one shift, adds absolute sums one order up
+and the phase t log n. `_em_floor` leaves that phase out, so at height a
+value's estimate misses its true error (ROADMAP item 1, the open defect).
+`_taylor_model`, with no bound, gives zeta's derivatives near a set of
+shifts from one kernel call about them, and at step 0 the kernel's values:
+it is the one way the scan (`zetascope.scan`) reads zeta.
 
 Branch convention: log zeta is the principal branch on the real segment
 (1, inf) and is continued along horizontal segments from sigma = 10, where
@@ -171,27 +171,23 @@ def _truncation(points: np.ndarray) -> int:
 def _centres_offsets(s: np.ndarray):
     """(centres, offsets, index) with s.flat[i] ~ (centres[:, None] + offsets).flat[index[i]].
 
-    A (K, L) array whose rows are arithmetic progressions with one common
-    step, L >= 9 and each point within 4 eps max|s| of its row's progression,
-    becomes K ceil(L / M) centres times M = ceil(sqrt L) offsets; a 1-D array
-    is one such row. The last centre of a row is its point L - M, so every
-    grid point is an input point and no point outside the input is
-    evaluated. Any other input is its own centres with the one offset 0.
+    s.ravel(), when it is an arithmetic progression of L >= 9 points, each
+    within 4 eps max|s| of it, becomes ceil(L / M) centres times M = ceil(sqrt
+    L) offsets. The last centre is point L - M, so every grid point is an
+    input point and no point outside the input is evaluated. Any other
+    input is its own centres with the one offset 0.
     """
     flat = s.ravel()
-    rows = s if s.ndim == 2 else flat[None, :]
-    count, size = rows.shape
-    k = np.arange(size)
+    size = flat.size
     if size >= 9:
-        d = (rows[0, -1] - rows[0, 0]) / (size - 1)
-        if np.max(np.abs(rows - (rows[:, :1] + d * k))) <= 8.9e-16 * np.max(np.abs(flat)):
+        k = np.arange(size)
+        d = (flat[-1] - flat[0]) / (size - 1)
+        if np.max(np.abs(flat - (flat[0] + d * k))) <= 8.9e-16 * np.max(np.abs(flat)):
             m = math.isqrt(size - 1) + 1
             starts = np.minimum(np.arange(0, size, m), size - m)
             row = k // m
-            local = row * m + k - starts[row]
-            index = (len(starts) * m * np.arange(count)[:, None] + local).ravel()
-            return rows[:, starts].ravel(), d * np.arange(m), index
-    return flat, np.zeros(1), np.arange(flat.size)
+            return flat[starts], d * np.arange(m), row * m + k - starts[row]
+    return flat, np.zeros(1), np.arange(size)
 
 
 _N_BERN = 30  # Bernoulli terms of every Euler-Maclaurin tail
@@ -328,11 +324,7 @@ def _zeta_eval(s: np.ndarray, tol: float):
 
 
 def zeta_array(s, tol: float = 1e-11) -> np.ndarray:
-    """Vectorised zeta via Euler-Maclaurin, certified to tol per point.
-
-    The shape of s is kept; a 2-D s whose rows are progressions with one
-    common step is summed as centres times offsets row by row.
-    """
+    """Vectorised zeta via Euler-Maclaurin, certified to tol per point; the shape of s is kept."""
     s_arr = np.asarray(s, dtype=complex)
     if s_arr.size == 0:
         return np.zeros(s_arr.shape, dtype=complex)
@@ -368,6 +360,78 @@ def _zeta_taylor(centres: np.ndarray, kmax: int):
     floor = 2.2e-16 * (math.log2(n_trunc) * absum[:, :-1] + 2.0 * t * absum[:, 1:]
                        + (2.0 * t * math.log(n_trunc) + 2 * _N_BERN + ks + 4) * tail * fact[:-1])
     return coeffs * fact[:-1], _em_remainder(c, kmax, n_trunc) * fact[:-1] + floor
+
+
+def _taylor_model(n: int, sigma0: float, taus0: np.ndarray, step: float):
+    """zeta^(k), k < n, at shifts within step of the candidates taus0, from one kernel call.
+
+    The scan's one reader of zeta, in both modes: at step 0 about the very
+    shifts it is then asked for (a grid chunk, or the refined shifts), and
+    at the window's step about the candidates of the refinement, every shift
+    of which lies within `step` of its own candidate. Each candidate gets q
+    centres, evenly spaced, q the least odd integer above step log N for the
+    truncation point N of `_truncation` at the centres: taus0 + step (2i + 1
+    - q) / q, i < q, whose middle one is the candidate itself (q = 1 when
+    step log N < 1). Each shift then lies within r = step / q of a centre.
+    `_em_series` at the centres c = sigma0 + i tau_c, to order kmax, gives
+    a_j = zeta^(j)(c) / j!. At c + i delta, zeta^(k) is sum_{j>=k} j! / (j -
+    k)! a_j (i delta)^(j-k); each order k < n is summed to j = kmax by
+    Horner's rule about the nearest centre. Returns derivs(taus), the (size,
+    n) derivatives at the shifts in ravel order.
+
+    The order kmax: in the main sum the series of order k is, term by term,
+    n^-c (-log n)^k times the Taylor series of e^(-i delta log n), whose
+    remainder after degree m - 1 is at most |delta log n|^m / m!, since
+    the exponent is imaginary. With n < N and x = r log N < 1, the part of
+    order k left out is at most (log N)^k A x^m / m!, m = kmax - k + 1 >=
+    kmax - n + 2, A = sum_{n<N} n^-sigma0 (majorised by `_abs_sum`). The
+    Euler-Maclaurin tail is about one more term at n = N, its bracket
+    varying by O(r / |c - 1|) over the disc, inside the margin by which the
+    majorant exceeds A. kmax is the least order whose A x^m / m! at order
+    n - 1 is below 2^-53: the rounding of one term of order k's size (log
+    N)^k, far below the direct kernel's own floor (`_zeta_taylor`). x < 1
+    keeps the Horner sums, whose terms add up to e^x A (log N)^k, from
+    cancelling.
+
+    The pole at s = 1: the tail about c converges on |u| < |c - 1|. Since N
+    >= 24, r < 1 / log N < 1/3, so r is below a third of |c - 1| wherever
+    |Im c| >= 1, as at every centre of a window with t >= step + 1. Nearer
+    the pole, q grows on by 2 until 3 r <= |c - 1| at every centre; that
+    ends, since |c - 1| >= 1 - sigma0 > 0. At step 0, q = 1, kmax = n - 1,
+    and Horner's rule at delta = 0 returns k! a_k: the kernel's values.
+    """
+    q = 1
+    while True:
+        centres = np.sort((taus0[:, None] + step * (np.arange(1 - q, q, 2) / q)).ravel())
+        s = sigma0 + 1j * centres
+        n_trunc = _truncation(s)
+        x = step / q * math.log(n_trunc)
+        if x < 1.0 and 3.0 * step / q <= float(np.min(np.abs(s - 1.0))):
+            break
+        q += 2
+    m, drop = 1, float(_abs_sum(sigma0, n_trunc)) * x
+    while drop >= 2.0**-53:
+        m += 1
+        drop *= x / m
+    kmax = n - 2 + m
+    a = _em_series(s, kmax, n_trunc)[0]
+    # coef[c, d, k] = (k + d)! / d! a_(k+d), the coefficient of (i delta)^d in order k
+    j = np.arange(kmax + 1)[:, None] + np.arange(n)
+    falling = np.array([[math.perm(d + k, k) for k in range(n)] for d in range(kmax + 1)])
+    coef = np.where(j <= kmax, a[:, np.minimum(j, kmax)] * falling, 0.0)
+    mids = 0.5 * (centres[1:] + centres[:-1])
+
+    def derivs(taus):
+        t = np.ravel(taus)
+        owner = np.searchsorted(mids, t)
+        z = 1j * (t - centres[owner])[:, None]
+        c = coef[owner]
+        h = c[:, kmax]
+        for d in range(kmax - 1, -1, -1):
+            h = h * z + c[:, d]
+        return h
+
+    return derivs
 
 
 # ----------------------------------------------------------------------

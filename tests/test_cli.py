@@ -185,6 +185,20 @@ def test_scan_csv_roundtrip(tmp_path, capsys):
         )
 
 
+def test_scan_unwritable_csv_out_rejected(capsys, monkeypatch):
+    """A --csv-out path that cannot be opened is invalid input, refused
+    before the scan runs."""
+    from zetascope import scan
+
+    monkeypatch.setattr(scan, "scan_derivs", lambda *a, **k: pytest.fail("the scan ran"))
+    code, out, err = run_cli(
+        capsys, "scan", "--mode", "zeta", "--t", "100", "--h", "20", "--sigma0", "0.9",
+        "--targets", "1.0", "--eps", "0.35", "--csv-out", "/nonexistent/x.csv",
+    )
+    assert code == EXIT_INVALID
+    assert out == "" and err.startswith("error:") and "/nonexistent/x.csv" in err
+
+
 def test_zeros_count_and_list(capsys):
     code, out, _ = run_cli(capsys, "zeros", "--count-alpha", "0.1", "--t", "0",
                            "--h", "50")

@@ -40,7 +40,10 @@ def test_removed_names_stay_removed():
     the off-block tail bounds and excluded primes of a construction had no reader;
     both scan modes share one chunk size, and the log transform takes the
     scan's branch table, so the zeta chunk, the chunk option and the table
-    option of the batched log kernel are gone."""
+    option of the batched log kernel are gone; the scan reads zeta only
+    through the Taylor model of zeta_engine, so it binds neither the kernel,
+    its truncation and majorant, nor the per-point log evaluator, and its
+    pipeline `_run_scan` takes one fit function rather than an objective and a model."""
     import inspect
     from dataclasses import fields
 
@@ -63,6 +66,10 @@ def test_removed_names_stay_removed():
     assert "tail_bounds" not in {f.name for f in fields(omega.ConstructionReport)}
     assert not hasattr(scan, "_ZETA_CHUNK")
     assert "chunk" not in inspect.signature(scan._run_scan).parameters
+    assert "model" not in inspect.signature(scan._run_scan).parameters
+    assert not {"_em_series", "_truncation", "_abs_sum", "log_zeta_derivs"} & set(vars(scan))
+    assert scan._taylor_model is zeta_engine._taylor_model
+    assert not hasattr(scan.Hit(tau=1.0, residuals=(0.1,)), "refined")
     assert "line" not in inspect.signature(zeta_engine._log_zeta_line_derivs).parameters
 
 

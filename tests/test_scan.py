@@ -20,14 +20,21 @@ from zetascope.scan import (
     _candidate_indices,
     _refine_all,
     _run_scan,
-    _taylor_model,
     density_estimate,
     refine_hit,
     scan_derivs,
     scan_log_derivs,
     scan_zeta_derivs,
 )
-from zetascope.zeta_engine import _abs_sum, _zeta_taylor, log_zeta_derivs, zeta_derivs
+from zetascope.zeta_engine import (
+    _abs_sum,
+    _em_series,
+    _taylor_model,
+    _truncation,
+    _zeta_taylor,
+    log_zeta_derivs,
+    zeta_derivs,
+)
 
 
 def test_window_constraint_rejection():
@@ -209,8 +216,7 @@ def test_skip_recording():
         resid[bad] = math.inf
         return resid, {int(i): "synthetic zero on path" for i in np.flatnonzero(bad)}
 
-    model = lambda taus0: lambda taus: np.max(objective(taus)[0], axis=1)
-    result = _run_scan(objective, grid, w, 0.75, "log", threads=1, model=model)
+    result = _run_scan(lambda taus0, step: objective, grid, w, 0.75, "log", threads=1)
     assert result.hits == []
     assert any(abs(s["tau"] - 12.0) < 0.5 for s in result.skipped)
 
@@ -220,7 +226,7 @@ def test_density_estimate_arithmetic():
     empty = ScanResult(hits=[], skipped=[], n_grid=21, window=w, sigma0=0.75, mode="log")
     assert density_estimate(empty) == 0.0
     full = ScanResult(
-        hits=[Hit(tau=100.0 + 0.5 * i, residuals=(0.05,), refined=True) for i in range(21)],
+        hits=[Hit(tau=100.0 + 0.5 * i, residuals=(0.05,)) for i in range(21)],
         skipped=[], n_grid=21, window=w, sigma0=0.75, mode="log",
     )
     # 21 points at step 0.5 over h = 10 overshoots by one step; clipped to 1
@@ -228,9 +234,9 @@ def test_density_estimate_arithmetic():
 
 
 def test_hit_record_schema():
-    h = Hit(tau=1.5, residuals=(0.1, 0.2), refined=True, wall_time=0.25)
+    h = Hit(tau=1.5, residuals=(0.1, 0.2), wall_time=0.25)
     rec = h.to_record(0.75, 0.3)
-    assert set(rec) == {"tau", "sigma0", "n", "eps", "residuals", "refined", "wall_time"}
+    assert set(rec) == {"tau", "sigma0", "n", "eps", "residuals", "wall_time"}
     assert rec["n"] == 2
 
 
@@ -265,10 +271,11 @@ def test_grid_objective_matches_per_point(mode, monkeypatch, mp_log_zeta_derivs)
         every = 1
     w = ScanWindow(t=495.0, h=10.0, eps=1e-3)
     captured = []
-    monkeypatch.setattr(scan_module, "_run_scan", lambda objective, *a: captured.append(objective))
+    monkeypatch.setattr(scan_module, "_run_scan", lambda fit, *a: captured.append(fit))
     scan_derivs(tuple(targets), 0.75, w, mode=mode)
     grid = w.grid()
-    got = [captured[0](grid[a : a + _CHUNK]) for a in range(0, len(grid), _CHUNK)]
+    chunks = [grid[a : a + _CHUNK] for a in range(0, len(grid), _CHUNK)]
+    got = [captured[0](chunk, 0.0)(chunk) for chunk in chunks]
     assert all(not reasons for _, reasons in got)
     batched = np.concatenate([resid for resid, _ in got])
     for t, row in zip(grid[::every], batched[::every]):
@@ -276,24 +283,23 @@ def test_grid_objective_matches_per_point(mode, monkeypatch, mp_log_zeta_derivs)
         assert np.max(np.abs(row - ref)) <= 1e-9 * (1.0 + np.max(np.abs(targets)) + np.max(ref)), t
 
 
-def test_log_chunk_falls_back_to_per_point(monkeypatch):
-    """A chunk whose line continuation fails goes point by point, so a circle
-    that meets a zero is recorded as a skip, as before."""
-    real = scan_module.log_zeta_derivs
+def test_log_batch_falls_back_to_per_shift_transform(monkeypatch):
+    """A batch whose log transform fails goes one shift at a time through
+    the same transform, on the zeta data it already has: a shift that still
+    fails is the only skip, recorded with its reason, and the hit stays."""
+    real = scan_module._log_from_zeta
 
-    def failing_line(zeta_d, sigma0, t, line=None):
-        raise PathThroughZeroError("synthetic continuation failure")
+    def per_shift(zeta_d, sigma0, t, line=None):
+        if len(t) > 1:
+            raise PathThroughZeroError("synthetic continuation failure")
+        if abs(t[0] - 497.0) < 0.01:
+            raise PathThroughZeroError("synthetic zero at the shift")
+        return real(zeta_d, sigma0, t, line)
 
-    def per_point(kmax, sigma0, t, **kwargs):
-        if abs(t - 497.0) < 0.01:
-            raise PathThroughZeroError("synthetic zero on circle")
-        return real(kmax, sigma0, t, **kwargs)
-
-    monkeypatch.setattr(scan_module, "_log_from_zeta", failing_line)
-    monkeypatch.setattr(scan_module, "log_zeta_derivs", per_point)
-    targets = tuple(real(1, 0.75, 500.0)[0])
+    monkeypatch.setattr(scan_module, "_log_from_zeta", per_shift)
+    targets = tuple(log_zeta_derivs(1, 0.75, 500.0)[0])
     result = scan_log_derivs(targets, 0.75, ScanWindow(t=495.0, h=10.0, eps=1e-3, step=0.25))
-    assert result.skipped == [{"tau": 497.0, "reason": "synthetic zero on circle"}]
+    assert result.skipped == [{"tau": 497.0, "reason": "synthetic zero at the shift"}]
     assert any(abs(h.tau - 500.0) < 0.25 for h in result.hits)
 
 
@@ -359,8 +365,8 @@ def test_taylor_model_within_its_bounds(t, step, monkeypatch):
     in size. At the default step, step log N < 1 and the centres are the
     candidates; at step 0.5 it is about 2.9, and each candidate gets 3."""
     calls = []
-    real = scan_module._em_series
-    monkeypatch.setattr(scan_module, "_em_series",
+    real = zeta_engine._em_series
+    monkeypatch.setattr(zeta_engine, "_em_series",
                         lambda s, kmax, n_trunc: calls.append((s, kmax, n_trunc)) or real(s, kmax, n_trunc))
     step = ScanWindow(t=t, h=t**0.5, eps=0.35, step=step).step
     taus0 = t + step * np.array([3.25, 4.25, 17.6])
@@ -368,11 +374,12 @@ def test_taylor_model_within_its_bounds(t, step, monkeypatch):
         runs = []
         for n in (1, 7, 12):
             derivs = _taylor_model(n, sigma0, taus0, step)
+            call = calls[-1]  # the model's one kernel call; zeta_derivs makes more
             b = zeta_derivs(n - 1, complex(sigma0, taus0[1] + 0.3 * step))[0]
             tried = []
             _refine_all(taus0, lambda ts: tried.append(np.ravel(ts)) or
                         np.max(np.abs(derivs(ts) - b), axis=1), step)
-            runs.append((n, derivs, calls[-1], np.concatenate(tried)))
+            runs.append((n, derivs, call, np.concatenate(tried)))
         points = np.concatenate([p for *_, p in runs])
         direct, err = _zeta_taylor(sigma0 + 1j * points, 11)
         a = 0
@@ -391,25 +398,45 @@ def test_taylor_model_within_its_bounds(t, step, monkeypatch):
             a += len(p)
 
 
+def _record_models(monkeypatch):
+    """Wrap the scan's `_taylor_model`: per call, its (n, sigma0, taus0, step)
+    and the Euler-Maclaurin kernel calls made while building it, each (s,
+    kmax, n_trunc). Kernel calls elsewhere (targets, branch tracking) are
+    not counted."""
+    models, real_model, real_series = [], scan_module._taylor_model, zeta_engine._em_series
+
+    def model(*args):
+        calls = []
+        with monkeypatch.context() as m:
+            m.setattr(zeta_engine, "_em_series", lambda *a: calls.append(a) or real_series(*a))
+            derivs = real_model(*args)
+        models.append((args, calls))
+        return derivs
+
+    monkeypatch.setattr(scan_module, "_taylor_model", model)
+    return models
+
+
 @pytest.mark.parametrize("targets, window", [
     ((1.0,), ScanWindow(t=1000.0, h=200.0, eps=0.35)),  # about 4.4k points: 2 chunks
     (tuple(zeta_derivs(2, 0.75 + 300.0j)[0]), ScanWindow(t=295.0, h=10.0, eps=0.5)),
 ])
 def test_zeta_scan_kernel_calls(targets, window, monkeypatch):
-    """A zeta scan calls the Euler-Maclaurin kernel once per grid chunk,
-    once for the Taylor data of all its candidates and once to verify the
-    refined shifts, however many candidates it refines."""
-    calls, refined = [], []
-    real_series, real_refine = scan_module._em_series, scan_module._refine_all
-    monkeypatch.setattr(scan_module, "_em_series",
-                        lambda *a: calls.append(a[1]) or real_series(*a))
+    """A zeta scan builds one Taylor model per grid chunk at step 0, one
+    about all its candidates at the window's step and one at step 0 to
+    verify the refined shifts, however many candidates it refines: one
+    Euler-Maclaurin kernel call each."""
+    refined, real_refine = [], scan_module._refine_all
+    models = _record_models(monkeypatch)
     monkeypatch.setattr(scan_module, "_refine_all",
                         lambda taus0, *a: refined.append(len(taus0)) or real_refine(taus0, *a))
     result = scan_zeta_derivs(targets, 0.75, window)
     chunks = -(-len(window.grid()) // _CHUNK)
     assert refined[0] >= 2 and result.hits
-    assert len(calls) == chunks + 2
-    assert calls[-2] >= len(targets) and calls[-1] == len(targets) - 1
+    assert [args[3] for args, _ in models] == [0.0] * chunks + [window.step, 0.0]
+    assert all(len(calls) == 1 for _, calls in models)
+    kmax = [calls[0][1] for _, calls in models]
+    assert kmax[-2] >= len(targets) and kmax[-1] == len(targets) - 1
 
 
 @pytest.mark.parametrize("mode, tau, window", [
@@ -422,9 +449,8 @@ def test_coarse_step_scans_refine_on_the_model(mode, tau, window, monkeypatch):
     call per chunk, one for the model and one to verify, and lands on the
     shift its targets came from: midway between two grid points, on the
     grid of the first refinement level."""
-    calls, refined = [], []
-    real_series, real_refine = scan_module._em_series, scan_module._refine_all
-    monkeypatch.setattr(scan_module, "_em_series", lambda *a: calls.append(a) or real_series(*a))
+    refined, real_refine = [], scan_module._refine_all
+    models = _record_models(monkeypatch)
     monkeypatch.setattr(scan_module, "_refine_all",
                         lambda taus0, *a: refined.append(len(taus0)) or real_refine(taus0, *a))
     if mode == "zeta":
@@ -432,11 +458,27 @@ def test_coarse_step_scans_refine_on_the_model(mode, tau, window, monkeypatch):
     else:
         targets = tuple(log_zeta_derivs(1, 0.75, tau)[0])
     result = scan_derivs(targets, 0.75, window, mode=mode)
+    calls = [call for _, model_calls in models for call in model_calls]
     assert np.min(np.abs(window.grid() - tau)) > 0.4 * window.step
     assert window.step * math.log(calls[0][2]) >= 1.0
-    assert len(calls) == -(-len(window.grid()) // _CHUNK) + 2
+    assert len(models) == len(calls) == -(-len(window.grid()) // _CHUNK) + 2
     assert calls[-2][0].size >= 3 * refined[0]
     assert any(abs(h.tau - tau) < 1e-9 for h in result.hits)
+
+
+@pytest.mark.parametrize("n", [1, 2, 7])
+def test_model_at_step_zero_is_the_kernel(n):
+    """At step 0 the Taylor model returns the kernel's values bit for bit,
+    k! times its Taylor data at each shift: on a 4096-point progression,
+    whose main sum the kernel factors, and on unsorted shifts, which the
+    model sorts into its centres."""
+    fact = np.array([math.factorial(k) for k in range(n)], dtype=float)
+    grid = ScanWindow(t=1000.0, h=200.0, eps=0.35).grid()[:_CHUNK]
+    unsorted = 1000.0 + 200.0 * np.random.default_rng(5).random(300)
+    for taus in (grid, unsorted):
+        s = 0.75 + 1j * taus
+        direct = _em_series(s, n - 1, _truncation(s))[0] * fact
+        assert np.array_equal(_taylor_model(n, 0.75, taus, 0.0)(taus), direct)
 
 
 def test_log_scan_hits_land_on_true_minima():
