@@ -35,7 +35,8 @@ class UnreachableError(ZetascopeError):
 
 
 class InfeasiblePartitionError(ZetascopeError):
-    """No two-group split of the radii brackets the target magnitude."""
+    """The target magnitude is below 2 r_max - R, which no phases reach:
+    the largest radius outweighs the sum of the others by more than it."""
 
 
 class ResidualExceededError(ZetascopeError):

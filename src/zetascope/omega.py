@@ -254,39 +254,28 @@ def _greedy_split(radii: np.ndarray):
     return g[0], g[1], s[0], s[1]
 
 
-def _kk_split(radii: np.ndarray):
-    """Karmarkar-Karp differencing; returns the two groups and their sums.
+def _close_linkage(lengths, z: complex) -> list:
+    """Angles of a chain of arms with these lengths from 0 to z, in order.
 
-    Reaches far smaller imbalances than the greedy split when the radii are
-    heterogeneous, which is what makes small targets reachable without
-    iterative optimisation.
+    Each arm but the last aims the rest of the chain at the middle t of the
+    magnitudes both reach; its angle to z is the one opposite t in the
+    triangle (arm, |z|, t), from the law of cosines in half-angle form,
+    tan^2(angle/2) = (t^2 - (arm - |z|)^2) / ((arm + |z|)^2 - t^2), whose
+    factors keep their digits when the triangle is nearly flat. The last arm
+    points at what is left of z, so the chain closes to rounding level.
     """
-    import heapq
-
-    heap = [(-float(r), i, {int(i)}, set()) for i, r in enumerate(radii)]
-    heapq.heapify(heap)
-    while len(heap) > 1:
-        d1, i1, plus1, minus1 = heapq.heappop(heap)
-        d2, i2, plus2, minus2 = heapq.heappop(heap)
-        diff = -(-d1 - (-d2))  # as negative key: -(|d1| - |d2|)
-        heapq.heappush(heap, (diff, min(i1, i2), plus1 | minus2, minus1 | plus2))
-    _, _, plus, minus = heap[0]
-    s_plus = float(np.sum(radii[sorted(plus)])) if plus else 0.0
-    s_minus = float(np.sum(radii[sorted(minus)])) if minus else 0.0
-    return sorted(plus), sorted(minus), s_plus, s_minus
-
-
-def _two_arm_angles(s1: float, s2: float, z: complex):
-    """Angles for arms of lengths s1, s2 meeting at z (law of cosines)."""
-    az = abs(z)
-    if az < 1e-300:
-        return 0.0, math.pi  # requires s1 == s2; callers guarantee it
-    psi = math.atan2(z.imag, z.real)
-    c1 = (s1 * s1 + az * az - s2 * s2) / (2.0 * s1 * az)
-    c2 = (s2 * s2 + az * az - s1 * s1) / (2.0 * s2 * az)
-    a1 = math.acos(min(1.0, max(-1.0, c1)))
-    a2 = math.acos(min(1.0, max(-1.0, c2)))
-    return psi + a1, psi - a2
+    angles = []
+    for i, arm in enumerate(lengths[:-1]):
+        rest = lengths[i + 1:]
+        lo, hi = max(0.0, 2.0 * max(rest) - sum(rest)), sum(rest)
+        d, s = arm - abs(z), arm + abs(z)
+        t = 0.5 * (max(lo, abs(d)) + min(hi, s))
+        half = math.atan2(math.sqrt(max(0.0, (t - d) * (t + d))),
+                          math.sqrt(max(0.0, (s - t) * (s + t))))
+        angles.append(math.atan2(z.imag, z.real) + 2.0 * half)
+        z -= arm * complex(math.cos(angles[-1]), math.sin(angles[-1]))
+    angles.append(math.atan2(z.imag, z.real))
+    return angles
 
 
 def _turns(angle: float) -> float:
@@ -297,14 +286,22 @@ def _turns(angle: float) -> float:
 def align_phases(radii, target, *, tol: float = 1e-12) -> np.ndarray:
     """Phases theta_j with sum r_j e(-2 pi i theta_j) = target, residual < tol.
 
-    Strategy: split the radii into two groups whose sums bracket |target|
-    (greedy, then differencing when the greedy imbalance is too coarse) and
-    close the triangle with the law of cosines; each group shares one phase.
-    When even the differencing imbalance exceeds |target|, one radius is
-    peeled off as a third arm, which covers targets all the way to zero.
+    Construction: each group of radii shares one phase and acts as one arm.
+    - Two arms, the greedy split of all radii, when its imbalance is at most
+      |target|: the triangle (A, B, |target|) closes since |target| <= R,
+      the sum of the radii.
+    - Otherwise three arms: the largest radius r_max alone and the greedy
+      split (B, C) of the others.
+    Proof of reach: the greedy split puts each radius on the lighter side,
+    so its imbalance never exceeds its largest item, and |B - C| <= r_max.
+    The quadrilateral (r_max, B, C, |target|) closes when no side exceeds
+    the other three: for B and C that holds by |B - C| <= r_max, for
+    |target| by |target| <= R, and for r_max exactly when
+    2 r_max - R <= |target|. No choice of phases reaches below 2 r_max - R
+    either, so every target the polygon inequality allows is reached.
 
-    Raises UnreachableError when |target| > sum r_j, InfeasiblePartitionError
-    when no split brackets |target| (a dominant radius, or m too small).
+    Raises UnreachableError when |target| > R, InfeasiblePartitionError
+    when 2 r_max - R > |target| + max(tol, 1e-13 r_max).
     """
     r = np.asarray(radii, dtype=float)
     if r.ndim != 1 or len(r) == 0:
@@ -318,56 +315,24 @@ def align_phases(radii, target, *, tol: float = 1e-12) -> np.ndarray:
         raise UnreachableError(
             f"|target| = {az:.6g} exceeds the reachable radius {total:.6g}"
         )
-    phases = np.empty(len(r), dtype=float)
-
-    if len(r) == 1:
-        if abs(az - r[0]) > max(tol, 1e-13 * r[0]):
-            raise InfeasiblePartitionError(
-                f"single radius {r[0]:.6g} only reaches the circle |z| = {r[0]:.6g}"
-            )
-        phases[0] = _turns(math.atan2(z.imag, z.real))
-        return phases
-
-    def finish_two_arm(g1, g2, s1, s2):
-        a1, a2 = _two_arm_angles(s1, s2, z)
-        phases[g1] = _turns(a1)
-        phases[g2] = _turns(a2)
-
+    big = int(np.argmax(r))
+    inner = 2.0 * r[big] - total
+    if inner > az + max(tol, 1e-13 * r[big]):
+        raise InfeasiblePartitionError(
+            f"|target| = {az:.6g} is below 2 r_max - R = {inner:.6g}: "
+            f"the largest radius {r[big]:.6g} outweighs the others"
+        )
     g1, g2, s1, s2 = _greedy_split(r)
-    if abs(s1 - s2) <= az <= s1 + s2:
-        finish_two_arm(g1, g2, s1, s2)
+    if abs(s1 - s2) <= az:
+        groups = [g1, g2]
     else:
-        g1, g2, s1, s2 = _kk_split(r)
-        if g1 and g2 and abs(s1 - s2) <= az <= s1 + s2:
-            finish_two_arm(g1, g2, s1, s2)
-        else:
-            # peel the largest radius of the heavier group off as a third arm
-            if s2 > s1:
-                g1, g2, s1, s2 = g2, g1, s2, s1
-            star = max(g1, key=lambda i: r[i])
-            rest1 = [i for i in g1 if i != star]
-            a_sum = float(math.fsum(r[rest1]))
-            r_star = float(r[star])
-            lo = max(abs(a_sum - s2), abs(az - r_star))
-            hi = min(a_sum + s2, az + r_star)
-            if not rest1 or not g2 or lo > hi + 1e-13:
-                raise InfeasiblePartitionError(
-                    f"no two-group split brackets |target| = {az:.6g} "
-                    f"(best imbalance {abs(s1 - s2):.6g})"
-                )
-            t_mid = 0.5 * (lo + hi)
-            if az < 1e-300:
-                gamma = 0.0
-                z2 = z - r_star
-            else:
-                psi = math.atan2(z.imag, z.real)
-                cg = (az * az + r_star * r_star - t_mid * t_mid) / (2.0 * az * r_star)
-                gamma = psi + math.acos(min(1.0, max(-1.0, cg)))
-                z2 = z - r_star * complex(math.cos(gamma), math.sin(gamma))
-            a1, a2 = _two_arm_angles(a_sum, s2, z2)
-            phases[star] = _turns(gamma)
-            phases[rest1] = _turns(a1)
-            phases[g2] = _turns(a2)
+        others = np.delete(np.arange(len(r)), big)
+        h1, h2, _, _ = _greedy_split(r[others])
+        groups = [[big], others[h1], others[h2]]
+    groups = [g for g in groups if len(g)]
+    phases = np.empty(len(r), dtype=float)
+    for g, angle in zip(groups, _close_linkage([math.fsum(r[g]) for g in groups], z)):
+        phases[g] = _turns(angle)
 
     resid = abs(_fsum_phasor(r, phases) - z)
     if resid > tol:

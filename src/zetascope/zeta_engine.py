@@ -305,7 +305,11 @@ def _zeta_eval(s: np.ndarray, tol: float):
     sum with the rest of the tail and the sum with the main part. Its
     exponent (1 - s) log N adds 2u |1 - s| log N |tail|: small near the
     pole, and at height part of the phase rounding `_em_floor` leaves out.
+    A tol that is not positive (or NaN, which no comparison refuses) is a
+    ValueError.
     """
+    if not tol > 0:
+        raise ValueError(f"tol must be positive, got {tol!r}")
     flat = s.ravel()
     n_trunc = _truncation(flat)
     floor = _em_floor(flat.real, n_trunc)

@@ -1,6 +1,9 @@
 import csv
 import json
 import math
+import re
+import shlex
+from pathlib import Path
 
 import pytest
 
@@ -82,6 +85,13 @@ def test_zeta_eval_pole_rejected(capsys):
     code, _, err = run_cli(capsys, "zeta-eval", "--s", "1")
     assert code == EXIT_INVALID
     assert "pole" in err
+
+
+@pytest.mark.parametrize("tol", ["nan", "0"])
+def test_zeta_eval_tolerance_not_positive_rejected(capsys, tol):
+    code, out, err = run_cli(capsys, "zeta-eval", "--s", "0.75+100i", "--tol", tol)
+    assert code == EXIT_INVALID
+    assert out == "" and "tol" in err
 
 
 def test_solve_omega_happy_path(capsys):
@@ -246,3 +256,17 @@ def test_universality_cli_no_hits(capsys):
     )
     assert code == EXIT_NO_RESULT
     assert "no shift" in err
+
+
+def test_readme_cli_block_runs(capsys, monkeypatch, tmp_path):
+    """Every command of the README's CLI block exits 0 (the scan line
+    writes hits.csv into the working directory)."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = re.search(r"^## CLI\n+```sh\n(.*?)^```", readme, re.S | re.M).group(1)
+    lines = block.strip().splitlines()
+    assert len(lines) == 10
+    monkeypatch.chdir(tmp_path)
+    for line in lines:
+        assert line.startswith("python -m zetascope ")
+        assert main(shlex.split(line)[3:]) == EXIT_OK, line
+        capsys.readouterr()

@@ -147,18 +147,55 @@ def test_align_zero_target_heterogeneous():
     assert abs(phasor_sum(radii, phases)) < 1e-12
 
 
+def _edge_targets():
+    """Feasible targets near the edges of the reachable annulus: just above
+    the inner radius 2 r_max - R of a dominant radius, and near zero."""
+    rng = np.random.default_rng(7)
+    for _ in range(500):
+        m = int(rng.integers(2, 51))
+        radii = rng.uniform(0.01, 1.0, m)
+        radii[0] = radii[1:].sum() * rng.uniform(1.01, 2.0)
+        total = radii.sum()
+        for k in (4, 6, 8):
+            az = (2.0 * radii[0] - total) + 10.0**-k * total
+            yield radii, az * np.exp(2j * math.pi * rng.uniform())
+    for _ in range(500):
+        m = int(rng.integers(3, 51))
+        radii = rng.uniform(0.01, 1.0, m)
+        total = radii.sum()
+        for k in (3, 4, 6):
+            az = 10.0**-k * total
+            turn = rng.uniform()
+            if az >= 2.0 * radii.max() - total:
+                yield radii, az * np.exp(2j * math.pi * turn)
+
+
 def test_align_random_feasible(rng):
-    worst = 0.0
+    targets = []
     for _ in range(1000):
         m = int(rng.integers(2, 51))
         radii = rng.uniform(0.01, 1.0, m)
         total = radii.sum()
         lo = max(0.0, 2.0 * radii.max() - total)
         az = rng.uniform(lo, total)
-        z = az * np.exp(2j * math.pi * rng.uniform())
+        targets.append((radii, az * np.exp(2j * math.pi * rng.uniform())))
+    edges = list(_edge_targets())
+    assert len(edges) == 2988
+    worst = 0.0
+    for radii, z in targets + edges:
         phases = align_phases(radii, z)
         worst = max(worst, abs(phasor_sum(radii, phases) - z))
     assert worst < 1e-12
+
+
+def test_align_refuses_just_inside_inner_radius():
+    rng = np.random.default_rng(7)
+    for _ in range(50):
+        radii = rng.uniform(0.01, 1.0, int(rng.integers(2, 20)))
+        radii[0] = radii[1:].sum() * rng.uniform(1.01, 2.0)
+        inner = 2.0 * radii[0] - radii.sum()
+        with pytest.raises(InfeasiblePartitionError):
+            align_phases(radii, inner * (1.0 - 1e-6) * np.exp(2j * math.pi * rng.uniform()))
 
 
 def test_align_unreachable_matches_two_arm_oracle(rng):
