@@ -122,8 +122,8 @@ class MollifierSpec:
     m_cutoff: int = 64
 
     def __post_init__(self):
-        if self.q < 2:
-            raise ValueError("q must be at least 2")
+        if not 2 <= self.q < math.inf:
+            raise ValueError(f"q must be at least 2 and finite, got {self.q!r}")
         if self.delta is None:
             object.__setattr__(self, "delta", 1.0 / self.q)
         if not 0.0 < self.delta < 0.5:
@@ -214,13 +214,16 @@ def mean_over_curve(spec: MollifierSpec, t0: float, h: float, theta: PhaseAssign
     factors; the panel rule at order 12 takes panels a sixth of the
     narrowest support window wide (at least h 1e-7), and doubling must move
     the mean by at most 1e-6. Capped at pi(q) <= 6 because the joint support
-    thins out exponentially in the number of coordinates.
+    thins out exponentially in the number of coordinates. t0 must be finite
+    and h positive and finite.
     """
     ps = [int(p) for p in table.primes[table.primes <= spec.q]]
     if len(ps) > 6:
         raise ValueError("mean_over_curve caps the coordinate count at pi(q) <= 6")
-    if h <= 0:
-        raise ValueError("window height h must be positive")
+    if not math.isfinite(t0):
+        raise ValueError(f"t0 must be finite, got {t0!r}")
+    if not 0.0 < h < math.inf:
+        raise ValueError(f"window height h must be positive and finite, got {h!r}")
     d = spec.delta
 
     def integrand(t):

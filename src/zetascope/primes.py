@@ -173,8 +173,8 @@ def build_blocks(u0: float, n: int, sigma0: float, *, warn_thin: bool = True) ->
     EmptyBlockError when a window holds no prime; emits ThinBlockWarning when
     a window holds fewer than three.
     """
-    if not u0 > 1:
-        raise ValueError("u0 must exceed 1")
+    if not 1 < u0 < math.inf:
+        raise ValueError(f"u0 must exceed 1 and be finite, got {u0!r}")
     if n < 1:
         raise ValueError("n must be at least 1")
     if not 0.5 < sigma0 < 1:

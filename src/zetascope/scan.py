@@ -10,7 +10,7 @@ scan reads zeta one way, through the Taylor model of
 error bound, from one Euler-Maclaurin kernel call about a set of shifts.
 The pipeline `_run_scan` builds it at step 0 about each chunk of `_CHUNK`
 grid points, where it gives the kernel's values; at the window's step about
-all grid dips, which nested local refinement polishes in lockstep
+all grid dips, which six nested 61-point grids polish in lockstep
 (`_refine_all`); and at step 0 about the refined shifts, which gives each
 hit its residuals. The log mode adds one transform,
 `zeta_engine._log_from_zeta`: the log-series recurrence, with log zeta
@@ -48,11 +48,14 @@ MAX_ORDER_ZETA = 12  # Taylor kernel bounds, growing like (log N)^k, checked to 
 # grid points per objective call: one batch shape, whatever the thread count;
 # 64 centres x 64 offsets in the factored main sum
 _CHUNK = 4096
+# hit refinement: _LEVELS nested grids of _POINTS points, radius / 30 per level
+_LEVELS = 6
+_POINTS = 61
 
 
 @dataclass(frozen=True)
 class ScanWindow:
-    """Window [t, t+h] with the short-interval constraint t^nu <= h <= t."""
+    """Window [t, t+h] with the short-interval constraint t^nu <= h <= t; t, h, step finite."""
 
     t: float
     h: float
@@ -61,10 +64,10 @@ class ScanWindow:
     step: float | None = None
 
     def __post_init__(self):
-        if self.t <= 0:
-            raise ValueError("t must be positive")
-        if self.h <= 0:
-            raise ValueError("h must be positive")
+        if not 0.0 < self.t < math.inf:
+            raise ValueError(f"t must be positive and finite, got {self.t!r}")
+        if not 0.0 < self.h < math.inf:
+            raise ValueError(f"h must be positive and finite, got {self.h!r}")
         if not 0.0 < self.eps < 1.0:
             raise ValueError("eps must lie in (0, 1)")
         if not 0.0 < self.nu <= 1.0:
@@ -77,8 +80,8 @@ class ScanWindow:
                 raise ValueError("the default step 2 pi / (20 log t) needs t > 1; give a step")
             # finer than the fastest oscillation scale log p <= log t
             object.__setattr__(self, "step", 2.0 * math.pi / (20.0 * math.log(self.t)))
-        if self.step <= 0:
-            raise ValueError("step must be positive")
+        if not 0.0 < self.step < math.inf:
+            raise ValueError(f"step must be positive and finite, got {self.step!r}")
 
     def grid(self) -> np.ndarray:
         n = int(math.floor(self.h / self.step)) + 1
@@ -87,7 +90,8 @@ class ScanWindow:
 
 @dataclass(frozen=True)
 class Hit:
-    """A verified shift; wall_time is that of the scan's whole refine-and-verify batch."""
+    """A grid dip refined by nested grids (`_refine_all`) and verified at step 0;
+    wall_time is that of the scan's whole refine-and-verify batch."""
 
     tau: float
     residuals: tuple
@@ -120,19 +124,22 @@ class ScanResult:
 
 
 def _refine_all(taus0, objective, radius: float):
-    """Nested local minimisation of an objective around every tau0, in lockstep.
+    """Nested grid minimisation of an objective around every tau0, in lockstep.
 
     objective maps an array of shifts of any shape to their values in ravel
     order: in a scan, the max residual on a Taylor model of zeta about the
     candidates (`zeta_engine._taylor_model`). It is called once on the
-    starting points, then per level once on a (K, 21) array and once on
-    the flat array of all vertex candidates: at most 7 calls for any number
-    K of starting points. Three grid levels shrink by a factor 10, each
-    followed by a vertex fit that handles both smooth (parabolic) and kinked
-    (V-shaped) minima; the fit needs a finite bracketing triple. A level
-    grid slides inside [tau0 - radius, tau0 + radius] rather than being
-    clipped, and no search leaves that interval. Returns (best shifts, their
-    values), one per starting point; the first of equal values is kept.
+    starting points, then once per level on a (K, `_POINTS`) array: 1 +
+    `_LEVELS` calls for any number K of starting points. Level j spans the
+    best shift so far +- r_j at spacing r_j / 30, and r_{j+1} is that
+    spacing, so the final spacing is radius * 30^-6, about 1.4e-9 radius.
+    If the objective is unimodal on a level's interval, its minimiser lies
+    within one spacing of the level's best point, hence inside the next
+    level's interval. So no vertex fit is needed, and none assumes a shape
+    that a kinked minimum (a target met exactly) does not have. A level grid
+    slides inside [tau0 - radius, tau0 + radius] rather than being clipped,
+    and no search leaves that interval. Returns (best shifts, their values),
+    one per starting point; the first of equal values is kept.
     """
     taus0 = np.asarray(taus0, dtype=float)
     lo, hi = taus0 - radius, taus0 + radius
@@ -140,48 +147,25 @@ def _refine_all(taus0, objective, radius: float):
     best_v = np.asarray(objective(taus0), dtype=float).reshape(taus0.shape)
     rows = np.arange(len(taus0))
     r = radius
-    for _ in range(3):
+    for _ in range(_LEVELS):
         mid = taus0 + np.clip(best_t - taus0, r - radius, radius - r)
         # the clip only catches rounding at the interval's ends
-        ts = np.clip(np.linspace(mid - r, mid + r, 21, axis=-1), lo[:, None], hi[:, None])
+        ts = np.clip(np.linspace(mid - r, mid + r, _POINTS, axis=-1), lo[:, None], hi[:, None])
         vs = np.asarray(objective(ts), dtype=float).reshape(ts.shape)
         i = np.argmin(vs, axis=1)
         better = vs[rows, i] < best_v
         best_t[better], best_v[better] = ts[better, i[better]], vs[better, i[better]]
-        r /= 10.0
-        # vertex candidates from the bracketing triple of each interior minimum
-        k = rows[(0 < i) & (i < 20)]
-        cols = i[k, None] + np.arange(-1, 2)
-        finite = np.all(np.isfinite(vs[k[:, None], cols]), axis=1)
-        k, cols = k[finite], cols[finite]
-        (t1, t2, t3), (v1, v2, v3) = ts[k[:, None], cols].T, vs[k[:, None], cols].T
-        denom = v1 - 2.0 * v2 + v3
-        slope = np.maximum(np.abs(v2 - v1), np.abs(v3 - v2)) / np.maximum(t2 - t1, 1e-300)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            t_par = t2 + 0.5 * (t3 - t2) * (v1 - v3) / denom
-            t_v = 0.5 * (t1 + t3) + (v1 - v3) / (2.0 * slope)
-        par, vee = denom > 0, slope > 0
-        owner = np.concatenate([k[par], k[vee]])
-        if not owner.size:
-            continue
-        cts = np.clip(np.concatenate([t_par[par], t_v[vee]]), lo[owner], hi[owner])
-        cvs = np.asarray(objective(cts), dtype=float)
-        # parabolic candidates first, then V-shaped: each owner once per group
-        n_par = int(np.sum(par))
-        for group in (slice(None, n_par), slice(n_par, None)):
-            o, t, v = owner[group], cts[group], cvs[group]
-            better = v < best_v[o]
-            best_t[o[better]], best_v[o[better]] = t[better], v[better]
+        r /= (_POINTS - 1) / 2
     return best_t, best_v
 
 
 def refine_hit(tau0: float, objective, radius: float) -> Hit:
-    """Nested local minimisation of an objective around tau0.
+    """Nested grid minimisation of an objective around tau0.
 
     objective maps a 1-D array of shifts to an array of values, one call per
-    batch: tau0 itself, then per level its 21 grid points and its vertex
-    candidates. This is `_refine_all` on one starting point: three grid
-    levels shrinking by a factor 10, each followed by a vertex fit; the
+    batch: tau0 itself, then the `_POINTS` points of each of `_LEVELS` grid
+    levels. This is `_refine_all` on one starting point: each level shrinks
+    the radius by a factor (`_POINTS` - 1) / 2 = 30, with no vertex fit; the
     search never leaves [tau0 - radius, tau0 + radius].
     """
     t, v = _refine_all([tau0], lambda ts: objective(np.ravel(ts)), radius)

@@ -306,11 +306,14 @@ def _zeta_eval(s: np.ndarray, tol: float):
     exponent (1 - s) log N adds 2u |1 - s| log N |tail|: small near the
     pole, and at height part of the phase rounding `_em_floor` leaves out.
     A tol that is not positive (or NaN, which no comparison refuses) is a
-    ValueError.
+    ValueError, also for an empty input, which then gives empty values and
+    truncation point 0.
     """
     if not tol > 0:
         raise ValueError(f"tol must be positive, got {tol!r}")
     flat = s.ravel()
+    if flat.size == 0:
+        return flat, np.zeros(0), 0
     n_trunc = _truncation(flat)
     floor = _em_floor(flat.real, n_trunc)
     if float(np.max(floor)) > tol:
@@ -330,8 +333,6 @@ def _zeta_eval(s: np.ndarray, tol: float):
 def zeta_array(s, tol: float = 1e-11) -> np.ndarray:
     """Vectorised zeta via Euler-Maclaurin, certified to tol per point; the shape of s is kept."""
     s_arr = np.asarray(s, dtype=complex)
-    if s_arr.size == 0:
-        return np.zeros(s_arr.shape, dtype=complex)
     return _zeta_eval(s_arr, tol)[0].reshape(s_arr.shape)
 
 
@@ -442,16 +443,17 @@ def _taylor_model(n: int, sigma0: float, taus0: np.ndarray, step: float):
 # Branch tracking
 # ----------------------------------------------------------------------
 
-def _adaptive_track(points_fn, params: np.ndarray, *, max_step: float = 1.0,
-                    min_gap: float = 1e-9, tol: float = 1e-11):
+def _adaptive_track(points_fn, params: np.ndarray, *, max_step: float = 1.0):
     """Evaluate zeta along a path, refining until arg steps are small.
 
     Returns (params, values, arg_steps) with arg_steps[i] the principal
-    argument of values[i+1] / values[i]. Raises PathThroughZeroError when
-    refinement stalls or a value collapses toward zero.
+    argument of values[i+1] / values[i]; values are certified to 1e-11.
+    Raises PathThroughZeroError when refinement stalls (an arg step above
+    max_step across a parameter gap below 1e-9) or a value collapses
+    toward zero.
     """
     params = np.asarray(params, dtype=float)
-    vals = zeta_array(points_fn(params), tol=tol)
+    vals = zeta_array(points_fn(params), tol=1e-11)
     for _ in range(48):
         if np.any(np.abs(vals) < 1e-12):
             raise PathThroughZeroError("zeta vanishes on the tracking path")
@@ -460,10 +462,10 @@ def _adaptive_track(points_fn, params: np.ndarray, *, max_step: float = 1.0,
         if not np.any(bad):
             return params, vals, steps
         gaps = params[1:][bad] - params[:-1][bad]
-        if float(np.min(np.abs(gaps))) < min_gap:
+        if float(np.min(np.abs(gaps))) < 1e-9:
             raise PathThroughZeroError("argument jump persists below minimum step")
         mids = 0.5 * (params[:-1][bad] + params[1:][bad])
-        new_vals = zeta_array(points_fn(mids), tol=tol)
+        new_vals = zeta_array(points_fn(mids), tol=1e-11)
         params = np.concatenate([params, mids])
         vals = np.concatenate([vals, new_vals])
         order = np.argsort(params, kind="stable")
@@ -708,8 +710,11 @@ def zero_ordinates(t_hi: float) -> np.ndarray:
     """Ordinates of the nontrivial zeros with 0 < gamma <= t_hi.
 
     Located by sign changes of Hardy's Z on the critical line and verified
-    against the smooth counting estimate; refined by bisection.
+    against the smooth counting estimate; refined by bisection. An infinite
+    or NaN t_hi is a ValueError.
     """
+    if not math.isfinite(t_hi):
+        raise ValueError(f"t_hi must be finite, got {t_hi!r}")
     if t_hi < 14.0:
         return np.array([], dtype=float)
     bucket = 50.0 * math.ceil(t_hi / 50.0)
@@ -736,12 +741,15 @@ def count_zeros(alpha: float, t: float, h: float) -> ZeroCount:
     Tracks the argument of zeta around the boundary and snaps the winding
     number to an integer. A boundary edge on the real axis would hit the
     pole at s = 1, so it is shifted to Im s = -1 (no zeros have |ordinate|
-    below 14) and the pole, once interior, is credited back.
+    below 14) and the pole, once interior, is credited back. t and h must be
+    finite, h nonnegative.
     """
     if not 0.0 < alpha < 2.0:
         raise ValueError("alpha must lie in (0, 2)")
-    if h < 0:
-        raise ValueError("h must be nonnegative")
+    if not math.isfinite(t):
+        raise ValueError(f"t must be finite, got {t!r}")
+    if not 0.0 <= h < math.inf:
+        raise ValueError(f"h must be nonnegative and finite, got {h!r}")
     if h == 0:
         return ZeroCount(alpha, t, h, 0, 0.0)
     t_lo, t_hi = float(t), float(t + h)

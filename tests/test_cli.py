@@ -230,6 +230,24 @@ def test_zeros_count_and_list(capsys):
     assert float(rows[1].split(",")[1]) == pytest.approx(14.134725, abs=1e-5)
 
 
+@pytest.mark.parametrize("argv, name", [
+    ("zeros --to inf", "t_hi"),
+    ("zeros --count-alpha 0.75 --t inf --h 50", "t"),
+    ("zeros --count-alpha 0.75 --t 0 --h inf", "h"),
+    ("solve-omega --sigma0 0.75 --targets 1.0 --eps 0.1 --u0 inf", "u0"),
+    ("mollifier --q 3 --curve-mean --t inf --h 10", "t0"),
+    ("mollifier --q 3 --curve-mean --t nan --h 10", "t0"),
+    ("mollifier --q inf --delta 0.1", "q"),
+    ("mollifier --q nan --delta 0.1", "q"),
+])
+def test_non_finite_input_rejected(capsys, argv, name):
+    """A non-finite number is refused where it enters, with exit 2 and the
+    parameter's name, not an OverflowError traceback or a NaN record."""
+    code, out, err = run_cli(capsys, *argv.split())
+    assert code == EXIT_INVALID
+    assert out == "" and err.startswith(f"error: {name} must")
+
+
 def test_mollifier_csv(capsys):
     code, out, err = run_cli(capsys, "mollifier", "--q", "3", "--m-cutoff", "16")
     assert code == EXIT_OK

@@ -58,6 +58,18 @@ def test_window_default_step_and_grid():
     assert ScanWindow(t=1.0, h=1.0, eps=0.35, step=0.1).step == 0.1
 
 
+@pytest.mark.parametrize("name, value", [
+    ("step", math.inf), ("step", math.nan), ("t", math.inf), ("t", math.nan),
+    ("h", math.inf), ("h", math.nan),
+])
+def test_window_refuses_non_finite_numbers(name, value):
+    """An infinite step made the grid [nan], on which the Taylor model's
+    centre search never ended; each non-finite number is refused here."""
+    args = {"t": 1e4, "h": 25.0, "eps": 0.35, "step": 0.01, name: value}
+    with pytest.raises(ValueError, match=f"^{name} must be positive and finite"):
+        ScanWindow(**args)
+
+
 def test_degenerate_two_point_grid():
     w = ScanWindow(t=2.0, h=1.26, eps=0.1, step=1.26)
     assert len(w.grid()) == 2
@@ -78,17 +90,26 @@ def test_refine_never_leaves_radius():
     assert hit.tau <= 3.05 + 1e-12
 
 
+_V_AT = -0.0456789123  # the vertex of the asymmetric V below
+
+
 @pytest.mark.parametrize("name, objective, taus0, radius", [
     ("|sin| near pi and 2 pi", lambda t: np.abs(np.sin(t)), [3.1, 6.2, 3.18, 6.35], 0.1),
     ("constant", lambda t: np.full(np.shape(t), 7.25), [5.0, -2.0, 1e3], 0.5),
     ("-t clamps right", lambda t: -np.asarray(t), [3.0, 10.0, 1e4], 0.05),
-    # a flat first candidate gets no vertex fit while the others do
+    # a flat first candidate keeps its shift while the others move
     ("flat, then |sin|", lambda t: np.where(np.asarray(t) < 50.0, np.abs(np.sin(t)), -1.0),
      [60.0, 3.1, 6.2, 60.0, 9.5], 0.1),
+    # a kinked minimum with slopes 10 and 1, which no level's grid meets
+    ("asymmetric V", lambda t: np.where(np.asarray(t) < _V_AT, 10.0 * (_V_AT - np.asarray(t)),
+                                        np.asarray(t) - _V_AT),
+     [0.0, -0.03, 0.02], 0.1),
 ])
 def test_refine_all_matches_refine_hit(name, objective, taus0, radius):
     """Lockstep refinement gives each candidate the hit refine_hit gives it
-    alone, in at most 1 + 3 x 2 objective calls for any number of candidates."""
+    alone, in exactly 1 + 6 objective calls (the starting points, then one
+    61-point grid per level) for any number of candidates, with no vertex
+    fit: a kinked minimum lands where it is, not where equal slopes put it."""
     shapes = []
 
     def counted(t):
@@ -96,8 +117,8 @@ def test_refine_all_matches_refine_hit(name, objective, taus0, radius):
         return objective(t)
 
     taus, vals = _refine_all(taus0, counted, radius)
-    assert len(shapes) <= 7
-    assert shapes[0] == (len(taus0),) and (len(taus0), 21) in shapes
+    assert len(shapes) == 7
+    assert shapes[0] == (len(taus0),) and (len(taus0), 61) in shapes
     for tau0, tau, val in zip(taus0, taus, vals):
         hit = refine_hit(tau0, objective, radius)
         assert abs(tau - hit.tau) <= 1e-12 * max(1.0, abs(tau0)), name
@@ -107,6 +128,8 @@ def test_refine_all_matches_refine_hit(name, objective, taus0, radius):
         assert np.allclose(taus, np.add(taus0, radius), rtol=0.0, atol=1e-12)
     if name.startswith("|sin|"):
         assert np.allclose(taus, [math.pi, 2 * math.pi, math.pi, 2 * math.pi], atol=1e-6)
+    if name == "asymmetric V":
+        assert np.all(np.abs(taus - _V_AT) <= 2e-10)
 
 
 def test_self_referential_log_scan():
@@ -241,7 +264,7 @@ def test_hit_record_schema():
 
 
 def test_refine_hit_inf_bracket_makes_no_nan_call():
-    """A minimum bracketed by inf gets no vertex fit: no NaN shift, no warning."""
+    """A minimum bracketed by inf makes the refinement try no NaN shift and warn of nothing."""
     seen = []
 
     def objective(ts):
@@ -464,6 +487,22 @@ def test_coarse_step_scans_refine_on_the_model(mode, tau, window, monkeypatch):
     assert len(models) == len(calls) == -(-len(window.grid()) // _CHUNK) + 2
     assert calls[-2][0].size >= 3 * refined[0]
     assert any(abs(h.tau - tau) < 1e-9 for h in result.hits)
+
+
+@pytest.mark.parametrize("mode", ["log", "zeta"])
+@pytest.mark.parametrize("step", [0.23, 0.3])
+def test_kinked_minimum_lands_on_its_shift(mode, step):
+    """Targets taken at tau = 500 are met exactly there, so the residual has
+    a kink at 500 with unequal slopes, and no refinement level's grid meets
+    it. A hit lands within 1e-9 of 500; vertex fits that assumed equal
+    slopes put it 1.7e-8 to 1.3e-7 away on these windows."""
+    if mode == "zeta":
+        targets = tuple(zeta_derivs(1, 0.75 + 500.0j)[0])
+    else:
+        targets = tuple(log_zeta_derivs(1, 0.75, 500.0)[0])
+    window = ScanWindow(t=495.0, h=10.0, eps=1e-3, step=step)
+    result = scan_derivs(targets, 0.75, window, mode=mode)
+    assert min(abs(h.tau - 500.0) for h in result.hits) <= 1e-9
 
 
 @pytest.mark.parametrize("n", [1, 2, 7])

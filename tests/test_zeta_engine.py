@@ -236,13 +236,16 @@ def test_tolerance_below_rounding_floor_is_refused_up_front(monkeypatch):
 @pytest.mark.parametrize("tol", [math.nan, 0.0, -1.0])
 def test_tolerance_that_is_not_positive_is_invalid(tol):
     """NaN fails every comparison, so it would pass both refusals unless
-    it is rejected as input, like zero and negative tolerances."""
+    it is rejected as input, like zero and negative tolerances, also when
+    the input is empty."""
     with pytest.raises(ValueError, match="tol"):
         zeta(0.75 + 100j, tol=tol)
-    with pytest.raises(ValueError, match="tol"):
-        zeta_array([0.75 + 100j, 2.0], tol=tol)
-    with pytest.raises(ValueError, match="tol"):
-        hardy_z(np.array([100.0]), tol=tol)
+    for s in ([0.75 + 100j, 2.0], np.array([])):
+        with pytest.raises(ValueError, match="tol"):
+            zeta_array(s, tol=tol)
+    for t in (np.array([100.0]), np.array([])):
+        with pytest.raises(ValueError, match="tol"):
+            hardy_z(t, tol=tol)
 
 
 @pytest.mark.parametrize("s", [1.001, 0.9999, 0.999 + 0.001j, 1.01 + 0.01j, 0.98, 0.999, 1.0001,
