@@ -90,8 +90,9 @@ class BoundConstants:
 
     def __post_init__(self):
         for name in ("c1", "c2", "C1"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive")
+            value = getattr(self, name)
+            if not 0.0 < value < math.inf:
+                raise ValueError(f"{name} must be positive and finite, got {value!r}")
 
 
 @dataclass(frozen=True)

@@ -8,11 +8,18 @@ terms shrink geometrically once the truncation point passes |Im s| /
 (2 pi). Its main sum is one blocked loop, `_blocked_sum`: a matrix product
 of n^-c_j and the right factor n^-z_m (-log n)^k / k! per block of n. An
 input whose points, raveled, form an arithmetic progression of L points is
-ceil(L / M) centres c_j plus M = ceil(sqrt L) steps z_m, so about 2 sqrt(L)
-exponentials per n serve L points; any other input is its own centres with
-the one offset 0, and at kmax = 0 a row sum. Its tail is a power series
-about each point, summed by Horner's rule, and `_em_remainder` bounds the
-remainder of each order. Values and Taylor data differ only in their
+ceil(L / M) centres c_j times M = ceil(sqrt L) steps z_m. The steps come
+from products (`_progression_exp`), one exponential per power of two below
+M. So do the centres of a progression whose real parts span at most 1 /
+log N, where long double is wider than double: one per power of two from
+one anchor row n^-c_0 (`_anchored_rows`), the only row that carries the
+large phase t_0 log n, reduced mod 2 pi in long double. About 2 log2(sqrt
+L) + 2 exponentials per n then serve L points (14 at L = 1833, where one
+per entry of both factors took 86); other centres take one exponential
+per entry. Any other input is its own centres with the one offset 0, and
+at kmax = 0 a row sum. Its tail is a power series about each point,
+summed by Horner's rule, and `_em_remainder` bounds the remainder of each
+order. Values and Taylor data differ only in their
 rounding floor: the certified `zeta` and `zeta_array` are the kernel's
 order-0 rows (`_zeta_eval`) with the floor `_em_floor` of the main sum and
 the rounding of the tail; `_zeta_taylor`, which `zeta_derivs` runs on one
@@ -102,15 +109,18 @@ class ZetaEval:
     terms_used: int
 
 
-def _blocked_sum(s: np.ndarray, n_trunc: int, width: int, right=None) -> np.ndarray:
+def _blocked_sum(s: np.ndarray, n_trunc: int, width: int, right=None, left=None) -> np.ndarray:
     """sum_{n<N} n^-s_j right(-log n)[n, m], one matrix product per block of n.
 
     right maps a block's values of -log n to its (block, width) right
     factor; None means width 1 and a factor of ones, a row sum with no BLAS
-    call (which would otherwise run on BLAS's own threads). log n is formed
-    per block, and the memory bound is per block, not per call: each factor
-    holds at most max(2^13, len(s), width) entries, however long the sum.
-    2^13 complex entries are 128 KiB, glibc's default mmap threshold, so the
+    call (which would otherwise run on BLAS's own threads). left maps the
+    block's first n and its values of -log n to its (len(s), block) left
+    factor n^-s_j; None means one exponential per entry, and
+    `_anchored_rows` serves evenly spaced rows. log n is formed per block,
+    and the memory bound is per block, not per call: each factor holds at
+    most max(2^13, len(s), width) entries, however long the sum. 2^13
+    complex entries are 128 KiB, glibc's default mmap threshold, so the
     factors come from the heap and are reused rather than mapped and
     page-faulted afresh for every block.
     """
@@ -118,13 +128,74 @@ def _blocked_sum(s: np.ndarray, n_trunc: int, width: int, right=None) -> np.ndar
     block = max(1, (1 << 13) // max(len(s), width))
     for i in range(1, n_trunc, block):
         neg = -np.log(np.arange(i, min(i + block, n_trunc), dtype=float))
-        left = np.outer(s, neg)
-        np.exp(left, out=left)
-        if right is None:
-            vals[:, 0] += left.sum(axis=1)
+        if left is None:
+            rows = np.outer(s, neg)
+            np.exp(rows, out=rows)
         else:
-            vals += left @ right(neg)
+            rows = left(i, neg)
+        if right is None:
+            vals[:, 0] += rows.sum(axis=1)
+        else:
+            vals += rows @ right(neg)
     return vals
+
+
+def _progression_exp(neg: np.ndarray, p: np.ndarray, first) -> np.ndarray:
+    """exp(p_j neg) for an arithmetic progression p_0, ..., p_(m-1): (m, len(neg)).
+
+    Row 0 is `first`, the caller's exp(p_0 neg). Each power of two 2^k < m
+    costs one exponential, at the input's own difference p_(2^k) - p_0,
+    which is exact by Sterbenz wherever its two terms lie within a factor 2
+    of each other, as the ordinates of a progression at height do; 2^k times
+    a rounded step would not be. Rows [2^k, 2^(k+1)) are then rows [0, 2^k)
+    times that factor, so row j is `first` times the factors of the set bits
+    of j: the value at p_0 plus the sum of their differences, which is p_j
+    when the progression is exact. Error: each factor's argument is one
+    rounded product, and its exponential is correct to about u (4 + |phase|)
+    relative, u = 2^-53, with a phase below |neg| |p_(m-1) - p_0| <= L |d|
+    log N for the L points of step d that the progression spans and n < N.
+    An entry is a product of at most f = 1 + ceil(log2 m) of them, whose
+    roundings add, so it lies within f u (4 + L |d| log N) of exp(p_j neg)
+    relative, beyond the error of `first`.
+    """
+    m = len(p)
+    out = np.empty((m, len(neg)), dtype=complex)
+    out[0] = first
+    w = 1
+    while w < m:
+        top = min(2 * w, m)
+        np.multiply(out[: top - w], np.exp((p[w] - p[0]) * neg), out=out[w:top])
+        w = top
+    return out
+
+
+_TWO_PI_LD = 8 * np.arctan(np.longdouble(1.0))  # 2 pi to long double's precision
+_LONG_PHASE = np.finfo(np.longdouble).nmant > 52  # long double is wider than double
+
+
+def _anchored_rows(c: np.ndarray, n0: int, neg: np.ndarray) -> np.ndarray:
+    """n^-c_j for the centres c of a factored progression, n from n0 on: (len(c), len(neg)).
+
+    Only the anchor row n^-c_0 carries the large phase t_0 log n, reduced
+    mod 2 pi in long double (64 mantissa bits on x86-64 Linux, so the phase
+    keeps about 11 more bits than in double); its cos and sin are taken in
+    double and scaled by n^-sigma_0. Every other row is the anchor times
+    `_progression_exp` of the differences c_j - c_0, so all rows share the
+    anchor's rounding. The last centre, which `_centres_offsets` may clamp
+    off the progression, is the anchor times one more exponential. No bound
+    is claimed for the reduction: `_em_floor` is unchanged. `_em_series`
+    uses these rows only where long double is wider than double (a
+    double-precision anchor would hand its one rounded phase to every
+    point) and the centres' real parts span at most 1 / log N (so no row
+    exceeds the anchor by more than a factor e, and none keeps what the
+    anchor loses to underflow).
+    """
+    log_n = np.log(np.arange(n0, n0 + len(neg), dtype=np.longdouble))
+    phase = np.fmod(log_n * np.longdouble(c[0].imag), _TWO_PI_LD).astype(float)
+    anchor = np.exp(c[0].real * neg) * (np.cos(phase) - 1j * np.sin(phase))
+    rows = _progression_exp(neg, c, anchor)
+    rows[-1] = anchor * np.exp((c[-1] - c[0]) * neg)
+    return rows
 
 
 def _powers(neg: np.ndarray, kmax: int) -> np.ndarray:
@@ -203,24 +274,32 @@ def _em_series(s: np.ndarray, kmax: int, n_trunc: int):
     floors need it. The main sum sum_{n<N} n^-s (-log n)^k / k! is the
     centres of `_centres_offsets` times its offsets times the power table,
     one product per block of n (`_blocked_sum`); one offset at kmax = 0 is
-    a row sum. The tail N^-s decay(u) bracket(u), with decay(u) =
-    e^(-u log N) and bracket(u) = N / (s - 1 + u) + 1/2 + sum_j beta_j
-    (s + u)(s + 1 + u) ... (s + 2j - 2 + u) N^(1 - 2j) over the `_N_BERN`
-    Bernoulli terms, is a power series in u, its sum by Horner's rule, per
-    block of 240 points. The tail is added at the main sum's points. The
-    remainder is bounded apart, by `_em_remainder`.
+    a row sum. The offsets' factor is built by binary powers
+    (`_progression_exp`), and so are the centres of a progression whose real
+    parts span at most 1 / log N, from one extended-precision anchor row
+    (`_anchored_rows`), where long double is wider than double; other
+    centres take one exponential per entry. The tail N^-s
+    decay(u) bracket(u), with decay(u) = e^(-u log N) and bracket(u) = N /
+    (s - 1 + u) + 1/2 + sum_j beta_j (s + u)(s + 1 + u) ... (s + 2j - 2 +
+    u) N^(1 - 2j) over the `_N_BERN` Bernoulli terms, is a power series in
+    u, its sum by Horner's rule, per block of 240 points. The tail is added
+    at the main sum's points. The remainder is bounded apart, by
+    `_em_remainder`.
     """
     centres, offsets, index = _centres_offsets(s)
     if len(offsets) == 1 and not kmax:
         sums = _blocked_sum(centres + offsets[0], n_trunc, 1)
     else:
         def right(neg):  # n^-z_m (-log n)^k / k!, for every offset z_m and order k
-            out = np.outer(neg, offsets)
-            np.exp(out, out=out)
+            out = _progression_exp(neg, offsets, 1.0).T
             if kmax:
                 out = (out[:, :, None] * _powers(neg, kmax)[:, None, :]).reshape(len(neg), -1)
             return out
-        sums = _blocked_sum(centres, n_trunc, len(offsets) * (kmax + 1), right)
+        left = None
+        if (len(offsets) > 1 and _LONG_PHASE
+                and abs(centres[-1].real - centres[0].real) * math.log(n_trunc) <= 1.0):
+            left = functools.partial(_anchored_rows, centres)
+        sums = _blocked_sum(centres, n_trunc, len(offsets) * (kmax + 1), right, left)
     coeffs = sums.reshape(-1, kmax + 1)[index]
     points = (centres[:, None] + offsets).ravel()[index]  # the main sum's points
 
@@ -305,12 +384,12 @@ def _zeta_eval(s: np.ndarray, tol: float):
     sum with the rest of the tail and the sum with the main part. Its
     exponent (1 - s) log N adds 2u |1 - s| log N |tail|: small near the
     pole, and at height part of the phase rounding `_em_floor` leaves out.
-    A tol that is not positive (or NaN, which no comparison refuses) is a
-    ValueError, also for an empty input, which then gives empty values and
-    truncation point 0.
+    A tol that is not positive, or not finite (NaN, which no comparison
+    refuses, or inf, which every estimate meets), is a ValueError, also for
+    an empty input, which then gives empty values and truncation point 0.
     """
-    if not tol > 0:
-        raise ValueError(f"tol must be positive, got {tol!r}")
+    if not 0.0 < tol < math.inf:
+        raise ValueError(f"tol must be positive and finite, got {tol!r}")
     flat = s.ravel()
     if flat.size == 0:
         return flat, np.zeros(0), 0
@@ -533,15 +612,20 @@ def _log_zeta_line(sigma0: float, taus):
     One `_adaptive_track` along the line through the sorted taus gives zeta
     at params (the taus and any points it inserted) with principal steps of
     at most 1 rad between neighbours; arg is anchored by `log_zeta_tracked`
-    at the lowest tau and checked against it at the highest. The two differ
-    by 2 pi times the number of zeros in [sigma0, 10] x [min tau, max tau],
-    so a mismatch raises PathThroughZeroError ("right of the line"), as does
-    a failed track. Zeros left of the line are not seen (none exist off the
-    critical line); `log_zeta_derivs` checks a disk around its one point.
+    at the lowest tau, moved onto the angle of the table's own value there
+    (the two values round differently, and a lookup, `_line_arg`, cancels
+    only the table's rounding), and checked against it at the highest. The
+    two differ by 2 pi times the number of zeros in [sigma0, 10] x [min
+    tau, max tau], so a mismatch raises PathThroughZeroError ("right of the
+    line"), as does a failed track. Zeros left of the line are not seen
+    (none exist off the critical line); `log_zeta_derivs` checks a disk
+    around its one point.
     """
     t = np.sort(np.asarray(taus, dtype=float))
     params, vals, steps = _adaptive_track(lambda u: sigma0 + 1j * u, t)
-    arg = log_zeta_tracked(sigma0, float(t[0])).imag + np.concatenate([[0.0], np.cumsum(steps)])
+    anchor = log_zeta_tracked(sigma0, float(t[0])).imag
+    anchor += np.angle(vals[0] * np.exp(-1j * anchor))  # onto the table's own first value
+    arg = anchor + np.concatenate([[0.0], np.cumsum(steps)])
     if len(t) > 1 and abs(arg[-1] - log_zeta_tracked(sigma0, float(t[-1])).imag) > 1e-6:
         raise PathThroughZeroError(
             f"log zeta continued along Re s = {sigma0:g} over [{t[0]:g}, {t[-1]:g}] "

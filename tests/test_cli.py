@@ -235,6 +235,9 @@ def test_zeros_count_and_list(capsys):
     ("zeros --count-alpha 0.75 --t inf --h 50", "t"),
     ("zeros --count-alpha 0.75 --t 0 --h inf", "h"),
     ("solve-omega --sigma0 0.75 --targets 1.0 --eps 0.1 --u0 inf", "u0"),
+    ("solve-omega --sigma0 0.75 --targets 1.0 --eps 0.1 --c1 nan", "c1"),
+    ("solve-omega --sigma0 0.75 --targets 1.0 --eps 0.1 --c1 inf", "c1"),
+    ("zeta-eval --s 0.75+100i --tol inf", "tol"),
     ("mollifier --q 3 --curve-mean --t inf --h 10", "t0"),
     ("mollifier --q 3 --curve-mean --t nan --h 10", "t0"),
     ("mollifier --q inf --delta 0.1", "q"),

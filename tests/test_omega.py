@@ -255,6 +255,15 @@ def test_window_start_log_bound_examples():
     assert window_start_log_bound(spec_c, BoundConstants(C1=2.0)) == pytest.approx(want)
 
 
+@pytest.mark.parametrize("name", ["c1", "c2", "C1"])
+@pytest.mark.parametrize("value", [0.0, -1.0, math.nan, math.inf])
+def test_bound_constants_must_be_positive_and_finite(name, value):
+    """A constant that is not positive and finite is refused by name, before
+    any threshold formula turns it into some other parameter's NaN or inf."""
+    with pytest.raises(ValueError, match=f"^{name} must be positive and finite"):
+        BoundConstants(**{name: value})
+
+
 # ----------------------------------------------------------------------
 # end-to-end construction
 # ----------------------------------------------------------------------

@@ -233,11 +233,11 @@ def test_tolerance_below_rounding_floor_is_refused_up_front(monkeypatch):
     assert passes == []
 
 
-@pytest.mark.parametrize("tol", [math.nan, 0.0, -1.0])
+@pytest.mark.parametrize("tol", [math.nan, 0.0, -1.0, math.inf])
 def test_tolerance_that_is_not_positive_is_invalid(tol):
-    """NaN fails every comparison, so it would pass both refusals unless
-    it is rejected as input, like zero and negative tolerances, also when
-    the input is empty."""
+    """NaN fails every comparison and every estimate meets inf, so either
+    would pass both refusals unless it is rejected as input, like zero and
+    negative tolerances, also when the input is empty."""
     with pytest.raises(ValueError, match="tol"):
         zeta(0.75 + 100j, tol=tol)
     for s in ([0.75 + 100j, 2.0], np.array([])):
@@ -297,6 +297,17 @@ def test_progression_matches_points_one_at_a_time(name):
     assert np.all(np.abs(derivs - single) <= err)
 
 
+@pytest.mark.parametrize("s", [np.linspace(300.0, 2.0, 50), np.linspace(80.0, 0.9, 40) + 1e5j])
+def test_falling_real_progression_keeps_rows_an_anchor_would_lose(s):
+    """Where n^-c_0 underflows but later points' terms do not (12^-300 is
+    0, 12^-2 is not), the factored sum keeps every point's terms: values
+    match the points evaluated one at a time."""
+    s = s.astype(complex)
+    vals = zeta_array(s)
+    single = np.array([zeta_array([x])[0] for x in s])
+    assert np.all(np.abs(vals - single) <= 1e-12 * (1.0 + np.abs(single)))
+
+
 def test_progression_at_height_against_mpmath():
     """Oracle: at 0.9 + 1e5 i the factored sum is as accurate as the
     one-at-a-time sum (both carry the rounding of the phase t log n)."""
@@ -308,6 +319,90 @@ def test_progression_at_height_against_mpmath():
     err = np.max(np.abs(vals[picks] - ref))
     single_err = np.max(np.abs([zeta_array([s[i]])[0] for i in picks] - ref))
     assert err <= 2.0 * single_err + 1e-13
+
+
+@pytest.mark.parametrize("start", [0.55 + 3e5j, 0.75 + 1e5j, 0.9 + 1e6j])
+def test_progressions_at_height_against_mpmath(start):
+    """Oracle: with the large phase on one extended-precision anchor row, a
+    64-point progression at height is in the median no less accurate than
+    its points evaluated one at a time (8 picks, mpmath at 30 digits)."""
+    s = start + 0.05j * np.arange(64)
+    picks = np.arange(0, 64, 9)
+    with mp.workdps(30):
+        ref = np.array([complex(mp.zeta(mp.mpc(s[i].real, s[i].imag))) for i in picks])
+    err = np.abs(zeta_array(s)[picks] - ref)
+    single_err = np.abs([zeta_array([s[i]])[0] for i in picks] - ref)
+    assert np.median(err) <= np.median(single_err)
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 4, 5, 8, 9, 42, 43, 64, 65])
+def test_progression_exponentials_by_binary_powers(m):
+    """exp(p_j neg) built from one exponential per power of two is within
+    the docstring's bound f u (4 + phase), f = 1 + ceil(log2 m), of the
+    direct exponential, which is itself within u (4 + phase); phases below
+    50 rad, progressions starting at 0 and off it."""
+    neg = -np.log(np.arange(1, 2000, dtype=float))
+    u, f = 2.0**-53, 1 + math.ceil(math.log2(m))
+    for start in (0.0, 0.5 + 0.3j, 0.02 - 0.1j):
+        p = start + (6.0 / 64) * np.exp(1.2j) * np.arange(m)
+        got = zeta_engine._progression_exp(neg, p, np.exp(p[0] * neg))
+        want = np.exp(np.outer(p, neg))
+        phase = float(np.max(np.abs(p - p[0]))) * math.log(1999)
+        assert phase < 50.0
+        assert np.all(np.abs(got - want) <= (f + 1) * u * (4.0 + phase) * np.abs(want))
+
+
+def test_main_sum_exponentials_per_term(monkeypatch):
+    """The main sum of the 1833-point grid at t = 1e5 (the zeta-mode scan's
+    at sigma0 = 0.9) sends at most 16 elements per term n to np.exp: the
+    binary powers of 43 centres and 43 offsets, the anchor's amplitude and
+    the clamped last centre, not one exponential per entry of each factor."""
+    from zetascope.scan import ScanWindow
+
+    class CountingNumpy:
+        def __init__(self):
+            self.exp_elements = 0
+
+        def __getattr__(self, name):
+            return getattr(np, name)
+
+        def exp(self, x, *args, **kwargs):
+            self.exp_elements += np.size(x)
+            return np.exp(x, *args, **kwargs)
+
+    s = 0.9 + 1j * ScanWindow(t=1e5, h=50.0, eps=0.35).grid()
+    assert len(s) == 1833
+    n_trunc = zeta_engine._truncation(s)
+    counting = CountingNumpy()
+    monkeypatch.setattr(zeta_engine, "np", counting)
+    zeta_engine._em_series(s, 0, n_trunc)
+    assert counting.exp_elements <= 16 * n_trunc
+
+
+def test_centres_without_wide_long_double_take_one_exponential_per_entry(monkeypatch):
+    """Where long double is plain double, the centres of a vertical
+    progression are not built from an anchor row (whose one rounded phase
+    every point would share), and the values still match the points
+    evaluated one at a time."""
+    def refuse(*args):
+        raise AssertionError("anchored rows used without a wide long double")
+
+    s = 0.9 + 1j * (1e3 + 0.05 * np.arange(64))
+    single = np.array([zeta_array([x])[0] for x in s])
+    monkeypatch.setattr(zeta_engine, "_LONG_PHASE", False)
+    monkeypatch.setattr(zeta_engine, "_anchored_rows", refuse)
+    vals = zeta_array(s)
+    assert np.all(np.abs(vals - single) <= 1e-12 * (1.0 + np.abs(single)))
+
+
+def test_line_table_is_anchored_on_its_own_first_value():
+    """The branch table's argument is congruent to the angle of its own
+    first value mod 2 pi, so a lookup cancels the table's rounding at the
+    anchor, whichever path (factored progression or single point) gave the
+    tracked continuation's value there."""
+    params, vals, arg = zeta_engine._log_zeta_line(0.75, 5000.0 + 0.1 * np.arange(16))
+    turns = (arg[0] - np.angle(vals[0])) / (2.0 * math.pi)
+    assert abs(turns - round(turns)) <= 1e-15
 
 
 def test_only_progressions_are_factored(monkeypatch):
