@@ -25,14 +25,14 @@ order-0 rows (`_zeta_eval`) with the floor `_em_floor` of the main sum and
 the rounding of the tail; `_zeta_taylor`, which `zeta_derivs` runs on one
 centre and `log_zeta_derivs` on one shift, adds absolute sums one order up
 and the phase t log n. `_em_floor` leaves that phase out, so at height a
-value's estimate misses its true error (ROADMAP item 1, the open defect).
+value's estimate misses its true error (ROADMAP item 2, the open defect).
 `_taylor_model`, with no bound, gives zeta's derivatives near a set of
 shifts from one kernel call about them, and at step 0 the kernel's values:
 it is the one way the scan (`zetascope.scan`) reads zeta.
 
 Branch convention: log zeta is the principal branch on the real segment
-(1, inf) and is continued along horizontal segments from sigma = 10, where
-|zeta - 1| < 2^-9 keeps the principal branch unambiguous. Shifts on one
+(1, inf) and on Re s >= 1.1, where |Im log zeta| <= log zeta(1.1) < pi, and
+is continued from sigma = 1.1 along horizontal segments. Shifts on one
 line Re s = sigma0 share a branch table, `_log_zeta_line`: one track along
 the line, anchored by that continuation at its lowest shift and checked
 against it at its highest. `_log_from_zeta` turns zeta derivatives from
@@ -217,14 +217,17 @@ def _abs_sum(sigma, n_trunc: int):
         return 1.0 + np.abs((float(n_trunc) ** np.minimum(one_minus, 300.0) - 1.0) / one_minus)
 
 
-def _em_floor(sigma: np.ndarray, n_trunc: int) -> np.ndarray:
-    """Rounding floor of a value's main sum: eps * log2(N) * sum_{n<N} |n^-s|.
+def _em_floor(sigma: np.ndarray, n_trunc: int, rows=0.0) -> np.ndarray:
+    """Rounding floor of a value's main sum: (u log2 N + rows) sum_{n<N} |n^-s|, u = 2^-53.
 
-    It grows with N, so no longer sum can bring an estimate below it. It
-    leaves out the rounding of the phase t log n, which at height is most
-    of the true error.
+    u log2 N grows with N, so no longer sum can bring an estimate below it.
+    rows, per term and relative, is what a factored point's offset and move
+    add (`_factoring_error`, `_zeta_eval`). The floor leaves out the
+    rounding of the argument s log n, whose imaginary part is the phase t
+    log n, and the binary powers' phases (ROADMAP item 2), which at height
+    are most of the true error.
     """
-    return 1.1e-16 * math.log2(n_trunc) * _abs_sum(sigma, n_trunc)
+    return (1.1e-16 * math.log2(n_trunc) + rows) * _abs_sum(sigma, n_trunc)
 
 
 def _truncation(points: np.ndarray) -> int:
@@ -244,9 +247,11 @@ def _centres_offsets(s: np.ndarray):
 
     s.ravel(), when it is an arithmetic progression of L >= 9 points, each
     within 4 eps max|s| of it, becomes ceil(L / M) centres times M = ceil(sqrt
-    L) offsets. The last centre is point L - M, so every grid point is an
-    input point and no point outside the input is evaluated. Any other
-    input is its own centres with the one offset 0.
+    L) offsets, counted from the end with the smaller real part: the point
+    whose terms n^-s are the largest is a centre, with no offset's factor
+    to round and no move (`_factoring_error`). The last centre is point L -
+    M, so every grid point is an input point and no point outside the input
+    is evaluated. Any other input is its own centres with the one offset 0.
     """
     flat = s.ravel()
     size = flat.size
@@ -254,11 +259,35 @@ def _centres_offsets(s: np.ndarray):
         k = np.arange(size)
         d = (flat[-1] - flat[0]) / (size - 1)
         if np.max(np.abs(flat - (flat[0] + d * k))) <= 8.9e-16 * np.max(np.abs(flat)):
+            if flat[-1].real < flat[0].real:
+                centres, offsets, index = _centres_offsets(flat[::-1])
+                return centres, offsets, index[::-1]
             m = math.isqrt(size - 1) + 1
             starts = np.minimum(np.arange(0, size, m), size - m)
             row = k // m
             return flat[starts], d * np.arange(m), row * m + k - starts[row]
     return flat, np.zeros(1), np.arange(size)
+
+
+def _factoring_error(s: np.ndarray, n_trunc: int):
+    """(rows, moved) per point of s.ravel(): what its factoring by `_centres_offsets` costs.
+
+    rows, per term and relative, charges the factor n^-z_m of the point's
+    offset m. `_progression_exp` builds it as the product of its factors
+    for the b set bits of m (none for a centre, m = 0, whose factor is 1),
+    each correct to 4u relative beside its exponent, u = 2^-53. The
+    exponents' real parts add to Re z_m (-log n), and each is a rounded
+    product of a rounded multiple of the step, so their sum is within 3u
+    |Re z_m| log N of the offset's: rows = u (4 b + 3 |Re z_m| log N).
+    moved = p - s is how far the kernel's point p = c_j + z_m lies from the
+    input point s (`_centres_offsets` accepts points within 8.9e-16 max|s|
+    of its progression). Both are 0 for an input that is not factored.
+    """
+    centres, offsets, index = _centres_offsets(s)
+    m = index % len(offsets)
+    bits = np.array([bin(j).count("1") for j in range(len(offsets))])
+    rows = 1.1e-16 * (4.0 * bits + 3.0 * np.abs(offsets.real) * math.log(n_trunc))[m]
+    return rows, (centres[:, None] + offsets).ravel()[index] - s.ravel()
 
 
 _N_BERN = 30  # Bernoulli terms of every Euler-Maclaurin tail
@@ -275,10 +304,10 @@ def _em_series(s: np.ndarray, kmax: int, n_trunc: int):
     centres of `_centres_offsets` times its offsets times the power table,
     one product per block of n (`_blocked_sum`); one offset at kmax = 0 is
     a row sum. The offsets' factor is built by binary powers
-    (`_progression_exp`), and so are the centres of a progression whose real
-    parts span at most 1 / log N, from one extended-precision anchor row
-    (`_anchored_rows`), where long double is wider than double; other
-    centres take one exponential per entry. The tail N^-s
+    (`_progression_exp`, charged by `_factoring_error`), and so are the
+    centres of a progression whose real parts span at most 1 / log N, from
+    one extended-precision anchor row (`_anchored_rows`), where long double
+    is wider than double; other centres take one exponential per entry. The tail N^-s
     decay(u) bracket(u), with decay(u) = e^(-u log N) and bracket(u) = N /
     (s - 1 + u) + 1/2 + sum_j beta_j (s + u)(s + 1 + u) ... (s + 2j - 2 +
     u) N^(1 - 2j) over the `_N_BERN` Bernoulli terms, is a power series in
@@ -376,8 +405,14 @@ def _zeta_eval(s: np.ndarray, tol: float):
     Values and estimates are flat, in the order of s.ravel(): the order-0
     rows of `_em_series` at `_truncation`'s point. It refuses before the
     pass when the rounding floor `_em_floor` already exceeds tol, and after
-    it when any estimate does. An estimate is the remainder bound, that
-    floor, and the rounding of the tail, 4u |tail| with u = 2^-53. Near
+    it when any estimate does. The floor charges per term the factoring's
+    rows and the real part of its move p - s times log N
+    (`_factoring_error`), unless that move is one unit in the last place
+    of Re s: the real part of the argument s log n is rounded by up to 2u
+    |Re s| log n, u = 2^-53, and the floor leaves that out with the phase
+    (ROADMAP item 2). An estimate is the remainder bound, that floor, and
+    the rounding of the tail, 4u |tail|, with the tail's part of the move,
+    |Re(p - s)| (log N + 1 / |s - 1|) |tail| (as in `_zeta_taylor`). Near
     the pole the tail's leading term N^(1-s) / (s - 1) is most of the
     value, and four roundings meet it at full size, each at most u |tail|
     to first order: the exponential in N^(1-s), the division by s - 1, its
@@ -394,14 +429,18 @@ def _zeta_eval(s: np.ndarray, tol: float):
     if flat.size == 0:
         return flat, np.zeros(0), 0
     n_trunc = _truncation(flat)
-    floor = _em_floor(flat.real, n_trunc)
+    rows, moved = _factoring_error(flat, n_trunc)
+    dx, log_n = np.abs(moved.real), math.log(n_trunc)
+    dx[dx <= np.abs(np.spacing(flat.real))] = 0.0  # within the argument's own rounding
+    floor = _em_floor(flat.real, n_trunc, rows + dx * log_n)
     if float(np.max(floor)) > tol:
         raise ToleranceUnreachableError(
             f"could not certify tolerance {tol:g} (rounding floor {float(np.max(floor)):.3g} "
             f"at {n_trunc} terms)"
         )
     coeffs, tail = _em_series(s, 0, n_trunc)
-    err = _em_remainder(flat, 0, n_trunc)[:, 0] + floor + 4.4e-16 * tail[:, 0]
+    err = (_em_remainder(flat, 0, n_trunc)[:, 0] + floor
+           + (4.4e-16 + dx * (log_n + 1.0 / np.abs(flat - 1.0))) * tail[:, 0])
     if float(np.max(err)) > tol:
         raise ToleranceUnreachableError(
             f"could not certify tolerance {tol:g} (max error {float(np.max(err)):.3g})"
@@ -426,23 +465,30 @@ def _zeta_taylor(centres: np.ndarray, kmax: int):
 
     `_em_series` at `_truncation`'s point, times k!. Returns (derivs, err),
     both (len(centres), kmax + 1). err adds to the remainder bound
-    `_em_remainder` the rounding floor eps sum_n (log n)^k n^-sigma (log2 N
-    + 2 |t| log n), whose second term is the rounding of the phase t log n,
-    and the rounding of the tail, which near the pole at s = 1 is most of
-    zeta^(k): its phase t log N and its 2 `_N_BERN` sums and products.
+    `_em_remainder` the rounding floor eps log2 N sum_n (log n)^k n^-sigma,
+    the factoring's rows times that sum, and the rounding of the point, of
+    the argument s log n (at height its phase t log n) and the factoring's
+    move (`_factoring_error`): r = 2 eps |c| + |p - c|. It moves zeta^(k)
+    by r |zeta^(k+1)|, at most r (sum_n (log n)^(k+1) n^-sigma + (log N + (k
+    + 1) / |c - 1|) |tail_k| k!), since each further order of the tail
+    about c, N^-c bracket, adds log N or 1 / |c - 1|. The tail near the
+    pole at s = 1 is most of zeta^(k), and its 2 `_N_BERN` sums and products
+    add their own rounding.
     """
     c = np.asarray(centres, dtype=complex)
     n_trunc = _truncation(c)
     ks = np.arange(kmax + 1)
     fact = np.array([math.factorial(k) for k in range(kmax + 2)], dtype=float)
     coeffs, tail = _em_series(c, kmax, n_trunc)
+    rows, moved = _factoring_error(c, n_trunc)
     # |sum_n n^-sigma (-log n)^k / k!| per real part, one order beyond kmax
     sigmas, which = np.unique(c.real, return_inverse=True)
     absum = np.abs(_blocked_sum(sigmas, n_trunc, kmax + 2,
                                 lambda neg: _powers(neg, kmax + 1)))[which] * fact
-    t = np.abs(c.imag)[:, None]
-    floor = 2.2e-16 * (math.log2(n_trunc) * absum[:, :-1] + 2.0 * t * absum[:, 1:]
-                       + (2.0 * t * math.log(n_trunc) + 2 * _N_BERN + ks + 4) * tail * fact[:-1])
+    r = (4.4e-16 * np.abs(c) + np.abs(moved))[:, None]
+    floor = ((2.2e-16 * math.log2(n_trunc) + rows[:, None]) * absum[:, :-1] + r * absum[:, 1:]
+             + (r * (math.log(n_trunc) + (ks + 1) / np.abs(c - 1.0)[:, None])
+                + 2.2e-16 * (2 * _N_BERN + ks + 4)) * tail * fact[:-1])
     return coeffs * fact[:-1], _em_remainder(c, kmax, n_trunc) * fact[:-1] + floor
 
 
@@ -527,6 +573,7 @@ def _adaptive_track(points_fn, params: np.ndarray, *, max_step: float = 1.0):
 
     Returns (params, values, arg_steps) with arg_steps[i] the principal
     argument of values[i+1] / values[i]; values are certified to 1e-11.
+    params must increase, since a refinement sorts its midpoints in.
     Raises PathThroughZeroError when refinement stalls (an arg step above
     max_step across a parameter gap below 1e-9) or a value collapses
     toward zero.
@@ -553,25 +600,21 @@ def _adaptive_track(points_fn, params: np.ndarray, *, max_step: float = 1.0):
 
 
 def log_zeta_tracked(sigma0: float, t: float) -> complex:
-    """log zeta(sigma0 + i t) continued along the horizontal segment.
+    """log zeta(sigma0 + i t) continued along the horizontal segment from sigma = 1.1.
 
-    Seeds the principal branch at sigma = 10 (where zeta is within 2^-9 of 1)
-    and varies the argument continuously down to sigma0. The real part is
+    On Re s > 1, log zeta(s) = sum_p sum_k p^(-ks) / k, real on the real
+    axis, so |Im log zeta(s)| <= log zeta(sigma) <= log zeta(1.1) = 2.36 < pi
+    on Re s >= 1.1: the branch is principal there, and the principal value
+    at 1.1 + i t starts the track exactly. One `_adaptive_track` adds the
+    principal arg steps over s = 1.1 + u (sigma0 - 1.1) + i t, u =
+    linspace(0, 1, 28), a progression the kernel factors. The real part is
     log|zeta| exactly.
     """
     s_end = complex(sigma0, t)
     if abs(s_end - 1.0) < 1e-9:
         raise PoleAtOneError("tracking endpoint at the pole")
-    if sigma0 >= 10.0:
-        v = zeta_array(np.array([s_end]))[0]
-        return complex(math.log(abs(v)), math.atan2(v.imag, v.real))
-    # denser sampling where the argument moves fastest (small sigma)
-    coarse = np.linspace(10.0, max(2.0, sigma0), 12)
-    fine = np.linspace(min(2.0, 10.0), sigma0, 28) if sigma0 < 2.0 else np.array([sigma0])
-    sigmas = np.unique(np.concatenate([coarse, fine]))[::-1]  # 10 -> sigma0
-    u = np.linspace(0.0, 1.0, len(sigmas))
-    sig_of_u = lambda uu: np.interp(uu, u, sigmas)
-    _, vals, steps = _adaptive_track(lambda uu: sig_of_u(uu) + 1j * t, u)
+    _, vals, steps = _adaptive_track(lambda u: 1.1 + u * (sigma0 - 1.1) + 1j * t,
+                                     np.linspace(0.0, 1.0, 28))
     v0, v_end = vals[0], vals[-1]
     total_arg = math.atan2(v0.imag, v0.real) + float(np.sum(steps))
     return complex(math.log(abs(v_end)), total_arg)
@@ -615,7 +658,7 @@ def _log_zeta_line(sigma0: float, taus):
     at the lowest tau, moved onto the angle of the table's own value there
     (the two values round differently, and a lookup, `_line_arg`, cancels
     only the table's rounding), and checked against it at the highest. The
-    two differ by 2 pi times the number of zeros in [sigma0, 10] x [min
+    two differ by 2 pi times the number of zeros in [sigma0, 1.1] x [min
     tau, max tau], so a mismatch raises PathThroughZeroError ("right of the
     line"), as does a failed track. Zeros left of the line are not seen
     (none exist off the critical line); `log_zeta_derivs` checks a disk

@@ -92,6 +92,29 @@ def test_log_zeta_tracked_consistency(rng):
         checked += 1
 
 
+@pytest.mark.parametrize("sigma0, t", [(0.52, 2448.86), (0.5, 0.001), (0.5, -0.001), (3.0, 20.0),
+                                      (12.0, 7.0), (0.9, 1e4 + 0.37)])
+def test_log_zeta_tracked_against_mpmath(sigma0, t, mp_log_zeta_derivs):
+    """Oracle: the continuation from sigma = 1.1 is the branch of the
+    reference, which mpmath continues from sigma = 10 (30 digits): beyond
+    -pi at 0.52 + 2448.86i, past the pole at 0.5 +- 0.001i, right of sigma =
+    1.1 and at height."""
+    assert abs(log_zeta_tracked(sigma0, t) - mp_log_zeta_derivs(sigma0, t, 0)[0]) <= 1e-9
+
+
+def test_log_zeta_tracked_certifies_on_the_critical_line_at_height():
+    """The factored continuation costs nothing at its end, where the main
+    sum's terms are largest: the endpoint is a centre of the progression,
+    and its neighbours' offset charges stay below the endpoint's floor. So
+    at 0.5 + 1.2e7 i, where that floor alone is 9.6e-12, the continuation
+    still certifies its values to 1e-11 (no refusal). Against mpmath it is
+    within 1e-7: the phase t log n, which no estimate charges yet (ROADMAP
+    item 2), costs about 1e-8 at this height."""
+    with mp.workdps(20):
+        ref = complex(mp.log(mp.zeta(mp.mpc(0.5, 1.2e7))))
+    assert abs(log_zeta_tracked(0.5, 1.2e7) - ref) <= 1e-7
+
+
 def test_imaginary_part_continuous_along_t():
     ts = np.arange(100.0, 101.0, 1e-3)
     vals = np.array([log_zeta_tracked(0.8, float(t)).imag for t in ts])
@@ -308,6 +331,38 @@ def test_falling_real_progression_keeps_rows_an_anchor_would_lose(s):
     assert np.all(np.abs(vals - single) <= 1e-12 * (1.0 + np.abs(single)))
 
 
+@pytest.mark.parametrize("ends", [(300.0, 2.0), (2.0, 300.0)])
+def test_wide_real_progression_within_its_estimates_against_mpmath(ends):
+    """Oracle: on 50 evenly spaced points between 2 and 300, factored from
+    s = 2 with real offsets whose exponents reach |Re z_m| log N = 142 and
+    summed at points up to 2.8e-14 from the inputs, every value and every
+    Taylor coefficient of order <= 3 is within its own estimate of mpmath
+    at 30 digits."""
+    s = np.linspace(*ends, 50).astype(complex)
+    assert len(zeta_engine._centres_offsets(s)[1]) > 1
+    vals, est, _ = zeta_engine._zeta_eval(s, 1e-11)
+    derivs, err = _zeta_taylor(s, 3)
+    with mp.workdps(30):
+        ref = np.array([[complex(mp.zeta(mp.mpf(x.real), derivative=k)) for k in range(4)]
+                        for x in s])
+    assert np.all(np.abs(vals - ref[:, 0]) <= est)
+    assert np.all(np.abs(derivs - ref) <= err)
+
+
+def test_factoring_charge_refuses_before_the_sum(monkeypatch):
+    """The offsets' charge is part of the floor checked before the main
+    sum: a tolerance that the plain floor meets but the factored points'
+    charge exceeds is refused without summing."""
+    def refuse(*args):
+        raise AssertionError("summed before the floor was checked")
+
+    s = 0.75 + 1j * (1e4 + 0.1 * np.arange(64))
+    base = float(np.max(zeta_engine._em_floor(s.real, zeta_engine._truncation(s))))
+    monkeypatch.setattr(zeta_engine, "_em_series", refuse)
+    with pytest.raises(ToleranceUnreachableError, match="rounding floor"):
+        zeta_engine._zeta_eval(s, 1.05 * base)
+
+
 def test_progression_at_height_against_mpmath():
     """Oracle: at 0.9 + 1e5 i the factored sum is as accurate as the
     one-at-a-time sum (both carry the rounding of the phase t log n)."""
@@ -444,6 +499,16 @@ def test_only_progressions_are_factored(monkeypatch):
     assert seen == [8 * 3, 4]
     single = np.array([zeta_array([x])[0] for x in rows.ravel()]).reshape(rows.shape)
     assert np.all(np.abs(zeta_array(rows) - single) <= 1e-12 * np.abs(single))
+
+
+def test_continuation_is_one_factored_progression(monkeypatch):
+    """The horizontal continuation reaches the kernel as one evenly spaced
+    track: one main sum of 5 centres times 6 offsets."""
+    blocked_sum, seen = zeta_engine._blocked_sum, []
+    monkeypatch.setattr(zeta_engine, "_blocked_sum",
+                        lambda *a: seen.append((len(a[0]), a[2])) or blocked_sum(*a))
+    log_zeta_tracked(0.75, 2000.3)
+    assert seen == [(5, 6)]
 
 
 @pytest.mark.filterwarnings("error")
