@@ -3,23 +3,26 @@
 A phase assignment maps primes to turns theta_p in [0, 1); the twist enters
 as exp(-2*pi*i*theta_p). Unassigned primes carry phase 0. It is stored as
 two sorted arrays, int64 primes and their turns, so every lookup is one
-binary search. Only primes that come from outside the package are checked
-by Miller-Rabin; primes the package sieved itself are trusted. All sums
-here are finite; the bound `log_euler_deriv` reports covers its prime-power
-truncation and its rounding.
+binary search. Only primes that come from outside the package are checked,
+against one sieve and by Miller-Rabin above its range; primes the package
+sieved itself are trusted. All sums here are finite; the bound
+`log_euler_deriv` reports covers its prime-power truncation and its
+rounding.
 """
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
 from typing import Iterable, Mapping, NamedTuple
 
 import numpy as np
 
-from .primes import PrimeTable, is_prime
+from .primes import PrimeTable, is_prime, primes_up_to
 
 _U = 2.0**-53  # unit roundoff of float64
+_SIEVE_LIMIT = 1 << 20  # caller primes up to here are checked against a sieve
 
 __all__ = [
     "PhaseAssignment",
@@ -38,22 +41,24 @@ class PhaseAssignment:
     Primes not present default to phase 0, matching the convention that only
     finitely many coordinates are ever twisted. The map is held as a sorted
     int64 array of primes and a float array of turns. The public constructor
-    checks every prime with Miller-Rabin, because its input comes from the
-    caller; primes the package sieved itself enter through `_from_sorted`,
-    which checks nothing.
+    checks every prime, because its input comes from the caller: against one
+    sieve up to its largest entry within `_SIEVE_LIMIT`, built per call, and
+    by Miller-Rabin above that. Primes the package sieved itself enter
+    through `_from_sorted`, which checks nothing.
     """
 
     __slots__ = ("_primes", "_turns")
 
     def __init__(self, entries: Mapping[int, float] | Iterable[tuple[int, float]] = ()):
         items = entries.items() if isinstance(entries, Mapping) else entries
-        store = {}
-        for p, th in items:
-            p = int(p)
-            if not is_prime(p):
-                raise ValueError(f"phase assigned to non-prime {p}")
-            store[p] = float(th)
+        store = {int(p): float(th) for p, th in items}
         ps = sorted(store)
+        cut = bisect.bisect_right(ps, _SIEVE_LIMIT)
+        sieved = primes_up_to(max(ps[cut - 1], 0) if cut else 0).primes
+        prime = np.isin(np.array(ps[:cut], dtype=np.int64), sieved).tolist()
+        prime += [is_prime(p) for p in ps[cut:]]
+        if not all(prime):
+            raise ValueError(f"phase assigned to non-prime {ps[prime.index(False)]}")
         self._set(ps, [store[p] for p in ps])
 
     @classmethod

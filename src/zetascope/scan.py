@@ -14,14 +14,16 @@ all grid dips, which six nested 61-point grids polish in lockstep
 (`_refine_all`); and at step 0 about the refined shifts, which gives each
 hit its residuals. The log mode adds one transform,
 `zeta_engine._log_from_zeta`: the log-series recurrence, with log zeta
-itself looked up in one branch table of the scan line, built once per
-window (`zeta_engine._log_zeta_line`). Candidate selection keeps a
-first-order safety margin so a sharp minimum sitting between grid points is
-still caught.
+itself looked up in one branch table of the scan line per window
+(`zeta_engine._log_zeta_line`), built from the grid chunks' own kernel
+values, so the kernel reads each grid point once. Candidate selection keeps
+a first-order safety margin so a sharp minimum sitting between grid points
+is still caught.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -190,39 +192,57 @@ def _candidate_indices(vals: np.ndarray, eps: float) -> list:
     return np.flatnonzero(keep).tolist()
 
 
-def _run_scan(fit, grid: np.ndarray, window: ScanWindow, sigma0: float,
+def _run_scan(fit, transform, grid: np.ndarray, window: ScanWindow, sigma0: float,
               mode: str, threads: int) -> ScanResult:
     """Shared driver: evaluate the grid, refine candidates, verify hits.
 
     fit(taus0, step) returns a function of shifts within step of taus0,
-    which gives (residuals, reasons) at an array of them of any shape:
-    residuals[i] = |derivs - targets| at the i-th shift in ravel order, a row
-    of inf where the shift could not be evaluated, and reasons maps those
-    rows to why. Each chunk of `_CHUNK` grid points is fit(chunk, 0) on the
-    chunk; the chunks are shared over `threads` workers and do not depend
-    on the thread count, so neither do the hits. All candidates are refined
-    together (`_refine_all`) on the max residual of fit(candidates,
-    window.step). fit(refined, 0) on the refined shifts gives each hit its
-    residuals, and records as skips the shifts it could not evaluate; each
-    hit's wall_time is the time of that whole refine-and-verify batch.
+    which gives zeta's derivatives at an array of them of any shape, one row
+    per shift in ravel order. transform(zeta_d, t, line) turns the rows at
+    the shifts t into (residuals, reasons): residuals[i] = |derivs -
+    targets| at t[i], a row of inf where the shift could not be evaluated,
+    and reasons maps those rows to why; line is the window's branch table,
+    or None. The grid pass reads each point once. First each chunk of
+    `_CHUNK` points gets fit(chunk, 0) on the chunk, the kernel's values;
+    in the log mode the points are the grid widened by a step each side,
+    which holds every shift the refinement tries. The log mode then builds
+    the window's table from their order-0 values (`_log_zeta_line`), None
+    when that fails. Last, transform runs on each chunk of the grid. Chunks
+    are shared over `threads` workers and do not depend on the thread count,
+    so neither do the hits. All candidates are refined together
+    (`_refine_all`) on the max residual of fit(candidates, window.step).
+    fit(refined, 0) on the refined shifts gives each hit its residuals,
+    and records as skips the shifts it could not evaluate; each hit's
+    wall_time is the time of that whole refine-and-verify batch.
     """
     t_start = time.monotonic()
-    starts = range(0, len(grid), _CHUNK)
 
-    def eval_chunk(a):
-        chunk = grid[a : a + _CHUNK]
-        return fit(chunk, 0.0)(chunk)
-
-    if threads == 1:
-        # in this thread: a worker thread gets its own malloc arena,
-        # about 4 MiB more peak RSS on a single-threaded scan
-        done = list(map(eval_chunk, starts))
-    else:
+    def each_chunk(fn, size):
+        starts = range(0, size, _CHUNK)
+        if threads == 1:
+            # in this thread: a worker thread gets its own malloc arena,
+            # about 4 MiB more peak RSS on a single-threaded scan
+            return list(map(fn, starts))
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            done = list(pool.map(eval_chunk, starts))  # re-raises a worker's error
+            return list(pool.map(fn, starts))  # re-raises a worker's error
+
+    taus = grid
+    if mode == "log":
+        taus = np.concatenate([[grid[0] - window.step], grid, [grid[-1] + window.step]])
+    zeta_d = np.concatenate(each_chunk(
+        lambda a: fit(taus[a : a + _CHUNK], 0.0)(taus[a : a + _CHUNK]), len(taus)))
+    line = None
+    if mode == "log":
+        try:
+            line = _log_zeta_line(sigma0, taus, zeta_d[:, 0])
+        except PathThroughZeroError:
+            pass  # every batch anchors its own table
+        zeta_d = zeta_d[1:-1]
+    done = each_chunk(
+        lambda a: transform(zeta_d[a : a + _CHUNK], grid[a : a + _CHUNK], line), len(grid))
     vals = np.empty(len(grid))
     reasons = {}
-    for a, (resid, why) in zip(starts, done):
+    for a, (resid, why) in zip(range(0, len(grid), _CHUNK), done):
         vals[a : a + len(resid)] = np.max(resid, axis=1)
         reasons.update((a + i, msg) for i, msg in why.items())
     skipped = [{"tau": float(grid[i]), "reason": reasons[i]} for i in sorted(reasons)]
@@ -232,9 +252,14 @@ def _run_scan(fit, grid: np.ndarray, window: ScanWindow, sigma0: float,
     if candidates:
         t0 = time.monotonic()
         taus0 = grid[candidates]
-        model = fit(taus0, window.step)
-        refined, _ = _refine_all(taus0, lambda ts: np.max(model(ts)[0], axis=1), window.step)
-        residuals, why = fit(refined, 0.0)(refined)
+        about = fit(taus0, window.step)
+
+        def objective(ts):
+            t = np.ravel(ts)
+            return np.max(transform(about(t), t, line)[0], axis=1)
+
+        refined, _ = _refine_all(taus0, objective, window.step)
+        residuals, why = transform(fit(refined, 0.0)(refined), refined, line)
         batch_time = time.monotonic() - t0
         for i, tau in enumerate(refined.tolist()):
             if i in why:
@@ -262,14 +287,14 @@ def scan_derivs(targets, sigma0: float, window: ScanWindow, *, mode: str = "log"
     objective is max_k |derivative - target|, and dips below the window
     tolerance become verified hits. Both modes are one pipeline on zeta's
     derivatives, to order n - 1 with no error bound, all read through one
-    closure, fit(taus0, step): the Taylor model `zeta_engine._taylor_model`
-    of one kernel call about taus0, and on it the residuals at shifts within
-    step of them. `_run_scan` calls it at step 0 per grid chunk and on the
-    refined shifts, where it gives the kernel's values, and at the window's
-    step about the candidates of the refinement. The log mode adds one
-    transform, `zeta_engine._log_from_zeta`: the log-series recurrence, with
-    log zeta itself from one branch table of the line
-    (`zeta_engine._log_zeta_line`), built before the chunks over the grid
+    fit, fit(taus0, step): the Taylor model `zeta_engine._taylor_model` of
+    one kernel call about taus0. `_run_scan` calls it at step 0 per grid
+    chunk and on the refined shifts, where it gives the kernel's values, and
+    at the window's step about the candidates of the refinement. On its
+    derivatives, one transform gives the residuals. The log mode's is
+    `zeta_engine._log_from_zeta`: the log-series recurrence, with log zeta
+    itself from one branch table of the line (`zeta_engine._log_zeta_line`),
+    built after the grid's chunks from their own values over the grid
     widened by a step each side, which holds every shift refinement tries.
     A batch with a shift the table cannot serve anchors a table of its own
     run, as does every batch when the window's table cannot be built. A
@@ -296,41 +321,25 @@ def scan_derivs(targets, sigma0: float, window: ScanWindow, *, mode: str = "log"
     if threads < 1:
         raise ValueError("threads must be at least 1")
 
-    grid, line = window.grid(), None
-    if mode == "log":
-        # refinement stays within one step of a grid point, so the branch
-        # table of the grid widened by a step each side serves every call
+    def transform(zeta_d, t, line):
+        """(|derivs - b|, skip reasons) at the shifts t, from zeta's derivatives there."""
+        if mode == "zeta":
+            return np.abs(zeta_d - b), {}
         try:
-            line = _log_zeta_line(sigma0, np.concatenate(
-                [[grid[0] - window.step], grid, [grid[-1] + window.step]]))
+            return np.abs(_log_from_zeta(zeta_d, sigma0, t, line) - b), {}
         except PathThroughZeroError:
-            pass  # every call anchors its own run
-
-    def fit(taus0, step):
-        """The function giving (|derivs - b|, skip reasons) at shifts within step of taus0."""
-        derivs = _taylor_model(n, sigma0, taus0, step)
-
-        def residuals(taus):
-            t = np.ravel(taus)
-            zeta_d = derivs(t)
-            if mode == "zeta":
-                return np.abs(zeta_d - b), {}
+            pass  # one shift at a time, recording skips
+        resid, reasons = np.full((len(t), n), math.inf), {}
+        for i in range(len(t)):
             try:
-                return np.abs(_log_from_zeta(zeta_d, sigma0, t, line) - b), {}
-            except PathThroughZeroError:
-                pass  # one shift at a time, recording skips
-            resid, reasons = np.full((len(t), n), math.inf), {}
-            for i in range(len(t)):
-                try:
-                    log_d = _log_from_zeta(zeta_d[i : i + 1], sigma0, t[i : i + 1], line)
-                    resid[i] = np.abs(log_d[0] - b)
-                except PathThroughZeroError as exc:
-                    reasons[i] = str(exc)
-            return resid, reasons
+                log_d = _log_from_zeta(zeta_d[i : i + 1], sigma0, t[i : i + 1], line)
+                resid[i] = np.abs(log_d[0] - b)
+            except PathThroughZeroError as exc:
+                reasons[i] = str(exc)
+        return resid, reasons
 
-        return residuals
-
-    return _run_scan(fit, grid, window, sigma0, mode, threads)
+    return _run_scan(functools.partial(_taylor_model, n, sigma0), transform, window.grid(),
+                     window, sigma0, mode, threads)
 
 
 def scan_log_derivs(targets, sigma0: float, window: ScanWindow, *,

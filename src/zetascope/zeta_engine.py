@@ -32,14 +32,17 @@ it is the one way the scan (`zetascope.scan`) reads zeta.
 
 Branch convention: log zeta is the principal branch on the real segment
 (1, inf) and on Re s >= 1.1, where |Im log zeta| <= log zeta(1.1) < pi, and
-is continued from sigma = 1.1 along horizontal segments. Shifts on one
-line Re s = sigma0 share a branch table, `_log_zeta_line`: one track along
-the line, anchored by that continuation at its lowest shift and checked
+is continued from sigma = 1.1 along horizontal segments; `log_zeta_tracked`
+takes the principal log of one value on Re s >= 1.1. Shifts on one line Re
+s = sigma0 share a branch table, `_log_zeta_line`: one track along the
+line, anchored by that continuation at its lowest shift and checked
 against it at its highest. `_log_from_zeta` turns zeta derivatives from
 any source into log zeta derivatives, looking log zeta itself up in a
-table: the log scan's, one per window, or one of the run's own, as in
-`_log_zeta_line_derivs` (`_zeta_taylor`, that transform and a bound), the
-kernel of `log_zeta_derivs`.
+table: the log scan's, one per window, built on the values of the scan's
+own grid kernel calls (so the kernel reads each grid point once, and a
+lookup of a grid point cancels its rounding), or one of the run's own, on
+certified values, as in `_log_zeta_line_derivs` (`_zeta_taylor`, that
+transform and a bound), the kernel of `log_zeta_derivs`.
 """
 
 from __future__ import annotations
@@ -568,18 +571,20 @@ def _taylor_model(n: int, sigma0: float, taus0: np.ndarray, step: float):
 # Branch tracking
 # ----------------------------------------------------------------------
 
-def _adaptive_track(points_fn, params: np.ndarray, *, max_step: float = 1.0):
+def _adaptive_track(points_fn, params: np.ndarray, *, max_step: float = 1.0, values=None):
     """Evaluate zeta along a path, refining until arg steps are small.
 
     Returns (params, values, arg_steps) with arg_steps[i] the principal
-    argument of values[i+1] / values[i]; values are certified to 1e-11.
-    params must increase, since a refinement sorts its midpoints in.
-    Raises PathThroughZeroError when refinement stalls (an arg step above
-    max_step across a parameter gap below 1e-9) or a value collapses
-    toward zero.
+    argument of values[i+1] / values[i]. values, when given, are zeta at
+    points_fn(params) from any source, and the track takes them as they
+    are; otherwise they come from zeta_array, certified to 1e-11, as do the
+    midpoints a refinement inserts. params must increase, since a
+    refinement sorts its midpoints in. Raises PathThroughZeroError when
+    refinement stalls (an arg step above max_step across a parameter gap
+    below 1e-9) or a value collapses toward zero.
     """
     params = np.asarray(params, dtype=float)
-    vals = zeta_array(points_fn(params), tol=1e-11)
+    vals = zeta_array(points_fn(params), tol=1e-11) if values is None else np.asarray(values)
     for _ in range(48):
         if np.any(np.abs(vals) < 1e-12):
             raise PathThroughZeroError("zeta vanishes on the tracking path")
@@ -604,15 +609,18 @@ def log_zeta_tracked(sigma0: float, t: float) -> complex:
 
     On Re s > 1, log zeta(s) = sum_p sum_k p^(-ks) / k, real on the real
     axis, so |Im log zeta(s)| <= log zeta(sigma) <= log zeta(1.1) = 2.36 < pi
-    on Re s >= 1.1: the branch is principal there, and the principal value
-    at 1.1 + i t starts the track exactly. One `_adaptive_track` adds the
-    principal arg steps over s = 1.1 + u (sigma0 - 1.1) + i t, u =
-    linspace(0, 1, 28), a progression the kernel factors. The real part is
-    log|zeta| exactly.
+    on Re s >= 1.1: the branch is principal there, and for sigma0 >= 1.1
+    the result is the principal log of one certified value. Otherwise the
+    principal value at 1.1 + i t starts the track exactly, and one
+    `_adaptive_track` adds the principal arg steps over s = 1.1 + u (sigma0
+    - 1.1) + i t, u = linspace(0, 1, 28), a progression the kernel factors.
+    The real part is log|zeta| exactly.
     """
     s_end = complex(sigma0, t)
     if abs(s_end - 1.0) < 1e-9:
         raise PoleAtOneError("tracking endpoint at the pole")
+    if sigma0 >= 1.1:
+        return complex(np.log(zeta_array(np.array([s_end]))[0]))
     _, vals, steps = _adaptive_track(lambda u: 1.1 + u * (sigma0 - 1.1) + 1j * t,
                                      np.linspace(0.0, 1.0, 28))
     v0, v_end = vals[0], vals[-1]
@@ -649,23 +657,29 @@ def log_zeta_derivs(kmax: int, sigma0: float, t: float,
     return derivs[0], float(err[0])
 
 
-def _log_zeta_line(sigma0: float, taus):
+def _log_zeta_line(sigma0: float, taus, values=None):
     """The branch of log zeta along Re s = sigma0 over a run of shifts: (params, values, arg).
 
     One `_adaptive_track` along the line through the sorted taus gives zeta
     at params (the taus and any points it inserted) with principal steps of
-    at most 1 rad between neighbours; arg is anchored by `log_zeta_tracked`
-    at the lowest tau, moved onto the angle of the table's own value there
-    (the two values round differently, and a lookup, `_line_arg`, cancels
-    only the table's rounding), and checked against it at the highest. The
-    two differ by 2 pi times the number of zeros in [sigma0, 1.1] x [min
-    tau, max tau], so a mismatch raises PathThroughZeroError ("right of the
-    line"), as does a failed track. Zeros left of the line are not seen
-    (none exist off the critical line); `log_zeta_derivs` checks a disk
-    around its one point.
+    at most 1 rad between neighbours. values, when given, are zeta at
+    sigma0 + i taus from any source, such as the log scan's own kernel
+    values, so that a lookup of one of them cancels its rounding exactly;
+    the track then evaluates only the points it inserts. arg is anchored by
+    `log_zeta_tracked` at the lowest tau, moved onto the angle of the
+    table's own value there (the two values round differently, and a
+    lookup, `_line_arg`, cancels only the table's rounding), and checked
+    against it at the highest. The two differ by 2 pi times the number of
+    zeros in [sigma0, 1.1] x [min tau, max tau], so a mismatch raises
+    PathThroughZeroError ("right of the line"), as does a failed track.
+    Zeros left of the line are not seen (none exist off the critical line);
+    `log_zeta_derivs` checks a disk around its one point.
     """
-    t = np.sort(np.asarray(taus, dtype=float))
-    params, vals, steps = _adaptive_track(lambda u: sigma0 + 1j * u, t)
+    order = np.argsort(taus)
+    t = np.asarray(taus, dtype=float)[order]
+    if values is not None:
+        values = np.asarray(values)[order]
+    params, vals, steps = _adaptive_track(lambda u: sigma0 + 1j * u, t, values=values)
     anchor = log_zeta_tracked(sigma0, float(t[0])).imag
     anchor += np.angle(vals[0] * np.exp(-1j * anchor))  # onto the table's own first value
     arg = anchor + np.concatenate([[0.0], np.cumsum(steps)])

@@ -347,5 +347,16 @@ def test_sieved_primes_skip_miller_rabin(monkeypatch):
     assignment, report = construct_phases(TargetSpec(1, 0.75, (1.0,), 0.1))
     assert report.ok and len(assignment) > 0
     assert calls == []
-    PhaseAssignment({2: 0.5, 3: 0.0})  # primes from a caller are still checked
-    assert calls == [2, 3]
+    PhaseAssignment({2: 0.5, 3: 0.0})  # primes from a caller are sieved
+    assert calls == []
+    with pytest.raises(ValueError, match="non-prime 9"):
+        PhaseAssignment({2: 0.5, 9: 0.0, 15: 0.1})
+    big = 1048583  # the least prime above the sieve range 2^20
+    assert zetascope.phases._SIEVE_LIMIT == 1 << 20
+    assert len(PhaseAssignment({2: 0.5, 1009: 0.0, big: 0.25})) == 3
+    assert calls == [big]  # Miller-Rabin only above the sieve range
+    with pytest.raises(ValueError, match=f"non-prime {big + 2}"):
+        PhaseAssignment({3: 0.5, big + 2: 0.0})  # 1048585 = 5 x 209717
+    assert calls == [big, big + 2]
+    with pytest.raises(ValueError, match="non-prime -3"):
+        PhaseAssignment({-3: 0.5})

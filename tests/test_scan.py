@@ -1,3 +1,4 @@
+import collections
 import math
 import warnings
 
@@ -239,7 +240,9 @@ def test_skip_recording():
         resid[bad] = math.inf
         return resid, {int(i): "synthetic zero on path" for i in np.flatnonzero(bad)}
 
-    result = _run_scan(lambda taus0, step: objective, grid, w, 0.75, "log", threads=1)
+    result = _run_scan(lambda taus0, step: lambda taus: np.ones((np.size(taus), 1)),
+                       lambda zeta_d, taus, line: objective(taus), grid, w, 0.75, "zeta",
+                       threads=1)
     assert result.hits == []
     assert any(abs(s["tau"] - 12.0) < 0.5 for s in result.skipped)
 
@@ -293,14 +296,18 @@ def test_grid_objective_matches_per_point(mode, monkeypatch, mp_log_zeta_derivs)
         per_point = lambda t: zeta_derivs(2, complex(0.75, t))[0]
         every = 1
     w = ScanWindow(t=495.0, h=10.0, eps=1e-3)
-    captured = []
-    monkeypatch.setattr(scan_module, "_run_scan", lambda fit, *a: captured.append(fit))
+    got, real_run = [], scan_module._run_scan
+
+    def run(fit, transform, *a):  # the grid pass transforms one chunk per call, first
+        return real_run(fit, lambda *t: got.append(transform(*t)) or got[-1], *a)
+
+    monkeypatch.setattr(scan_module, "_run_scan", run)
     scan_derivs(tuple(targets), 0.75, w, mode=mode)
     grid = w.grid()
-    chunks = [grid[a : a + _CHUNK] for a in range(0, len(grid), _CHUNK)]
-    got = [captured[0](chunk, 0.0)(chunk) for chunk in chunks]
+    got = got[: -(-len(grid) // _CHUNK)]
     assert all(not reasons for _, reasons in got)
     batched = np.concatenate([resid for resid, _ in got])
+    assert len(batched) == len(grid)
     for t, row in zip(grid[::every], batched[::every]):
         ref = np.abs(per_point(t) - targets)
         assert np.max(np.abs(row - ref)) <= 1e-9 * (1.0 + np.max(np.abs(targets)) + np.max(ref)), t
@@ -343,6 +350,46 @@ def test_log_scan_anchors_the_branch_once(monkeypatch):
     assert len(anchors) <= 2
 
 
+def test_log_scan_reads_each_grid_point_once(monkeypatch):
+    """The window's branch table takes the grid chunks' own values, so the
+    Euler-Maclaurin kernel reads each grid point of a log scan once. A grid
+    point enters it again only as a candidate, which centres the
+    refinement's model, or as a refined shift: on the benchmark's window at
+    t = 2000 with two targets, where every grid point was read twice when
+    the table evaluated the grid apart."""
+    targets = tuple(log_zeta_derivs(1, 0.75, 2003.2862719709167)[0])
+    seen, candidates = [], []
+    real_series, real_refine = zeta_engine._em_series, scan_module._refine_all
+    monkeypatch.setattr(zeta_engine, "_em_series",
+                        lambda s, *a: seen.extend(np.ravel(s).tolist()) or real_series(s, *a))
+    monkeypatch.setattr(scan_module, "_refine_all",
+                        lambda taus0, *a: candidates.extend(taus0) or real_refine(taus0, *a))
+    w = ScanWindow(t=2000.0, h=12.5, eps=1e-3)
+    result = scan_log_derivs(targets, 0.75, w)
+    assert candidates and result.hits
+    counts = collections.Counter(seen)
+    again = collections.Counter(candidates + [h.tau for h in result.hits])
+    assert [counts[0.75 + 1j * t] for t in w.grid()] == [1 + again[t] for t in w.grid()]
+
+
+@pytest.mark.parametrize("sigma0, t, h", [(0.75, 2000.0, 12.5), (0.9, 1e5, 44.3)])
+def test_window_table_from_chunk_values_matches_the_certified_table(sigma0, t, h):
+    """The branch table a log scan builds from its chunks' values (order 0
+    of a two-target model) has the points and, to 1e-12, the argument of
+    the table built from certified zeta_array values, and keeps the chunks'
+    values as its own: on the benchmark's window and on one at t = 1e5 with
+    H just above t^(27/82)."""
+    w = ScanWindow(t=t, h=h, eps=0.3)
+    grid = w.grid()
+    taus = np.concatenate([[grid[0] - w.step], grid, [grid[-1] + w.step]])
+    values = _taylor_model(2, sigma0, taus, 0.0)(taus)[:, 0]
+    params, vals, arg = zeta_engine._log_zeta_line(sigma0, taus, values)
+    certified = zeta_engine._log_zeta_line(sigma0, taus)
+    assert np.array_equal(params, certified[0])
+    assert np.array_equal(vals[np.isin(params, taus)], values)
+    assert np.max(np.abs(arg - certified[2])) <= 1e-12
+
+
 def test_log_scan_without_a_window_table(monkeypatch):
     """When the window's branch table cannot be built, every objective call
     anchors its own run, and the scan finds the same hits."""
@@ -350,7 +397,7 @@ def test_log_scan_without_a_window_table(monkeypatch):
     w = ScanWindow(t=495.0, h=10.0, eps=1e-3)
     expected = [h.tau for h in scan_log_derivs(targets, 0.75, w).hits]
 
-    def no_table(sigma0, taus):
+    def no_table(sigma0, taus, values=None):
         raise PathThroughZeroError("synthetic zero right of the line")
 
     monkeypatch.setattr(scan_module, "_log_zeta_line", no_table)
@@ -399,14 +446,18 @@ def test_taylor_model_within_its_bounds(t, step, monkeypatch):
             derivs = _taylor_model(n, sigma0, taus0, step)
             call = calls[-1]  # the model's one kernel call; zeta_derivs makes more
             b = zeta_derivs(n - 1, complex(sigma0, taus0[1] + 0.3 * step))[0]
-            tried = []
-            _refine_all(taus0, lambda ts: tried.append(np.ravel(ts)) or
+            tried = []  # the candidates, then each level's rows of 61 shifts
+            _refine_all(taus0, lambda ts: tried.extend(np.atleast_2d(ts)) or
                         np.max(np.abs(derivs(ts) - b), axis=1), step)
-            runs.append((n, derivs, call, np.concatenate(tried)))
-        points = np.concatenate([p for *_, p in runs])
-        direct, err = _zeta_taylor(sigma0 + 1j * points, 11)
-        a = 0
-        for n, derivs, (s, kmax, n_trunc), p in runs:
+            runs.append((n, derivs, call, tried))
+        # the reference row by row: each level row is a progression the kernel
+        # factors, and the runs share their first rows
+        reference = {row.tobytes(): row for *_, rows in runs for row in rows}
+        reference = {key: _zeta_taylor(sigma0 + 1j * row, 11) for key, row in reference.items()}
+        for n, derivs, (s, kmax, n_trunc), rows in runs:
+            direct, err = (np.concatenate(part) for part in
+                           zip(*(reference[row.tobytes()] for row in rows)))
+            p = np.concatenate(rows)
             q = len(s) // len(taus0)
             log_n = math.log(n_trunc)
             assert q == (1 if step * log_n < 1.0 else 3)
@@ -416,9 +467,8 @@ def test_taylor_model_within_its_bounds(t, step, monkeypatch):
             m = kmax - ks + 1
             trunc = (log_n**ks * _abs_sum(sigma0, n_trunc)
                      * (delta[:, None] * log_n) ** m / [math.factorial(j) for j in m])
-            gap = np.abs(derivs(p) - direct[a : a + len(p), :n])
-            assert np.all(gap <= err[a : a + len(p), :n] + trunc), (sigma0, n)
-            a += len(p)
+            gap = np.abs(derivs(p) - direct[:, :n])
+            assert np.all(gap <= err[:, :n] + trunc), (sigma0, n)
 
 
 def _record_models(monkeypatch):

@@ -102,6 +102,21 @@ def test_log_zeta_tracked_against_mpmath(sigma0, t, mp_log_zeta_derivs):
     assert abs(log_zeta_tracked(sigma0, t) - mp_log_zeta_derivs(sigma0, t, 0)[0]) <= 1e-9
 
 
+@pytest.mark.parametrize("sigma0, t", [(1.5, 1e3), (12.0, 1e6)])
+def test_log_zeta_tracked_right_of_the_start_is_one_principal_value(sigma0, t, monkeypatch):
+    """On Re s >= 1.1 the continued branch is the principal one, so the
+    continuation is the principal log of one certified value: one one-point
+    kernel call, within 1e-10 of mpmath's principal log (30 digits)."""
+    sizes, real = [], zeta_engine._em_series
+    monkeypatch.setattr(zeta_engine, "_em_series",
+                        lambda s, *a: sizes.append(s.size) or real(s, *a))
+    got = log_zeta_tracked(sigma0, t)
+    assert sizes == [1]
+    with mp.workdps(30):
+        ref = complex(mp.log(mp.zeta(mp.mpc(sigma0, t))))
+    assert abs(got - ref) <= 1e-10
+
+
 def test_log_zeta_tracked_certifies_on_the_critical_line_at_height():
     """The factored continuation costs nothing at its end, where the main
     sum's terms are largest: the endpoint is a centre of the progression,
