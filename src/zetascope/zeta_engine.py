@@ -54,6 +54,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from ._panels import _panel_rule
 from .errors import (
     BoundaryZeroError,
     InsufficientZerosError,
@@ -1048,7 +1049,8 @@ def _kernel(s, z, x: float):
     """K(s, z) = (x^(z-s) - x^(2(z-s))) / (s-z)^2, the term of a singularity z
     in log(x) times zeta'/zeta(s)."""
     d = z - s
-    return (np.exp(d * math.log(x)) - np.exp(2.0 * d * math.log(x))) / d**2
+    w = np.exp(d * math.log(x))
+    return w * (1.0 - w) / (d * d)
 
 
 def selberg_zeta_prime_over_zeta(s: complex, spec: SelbergSpec) -> tuple[complex, float]:
@@ -1072,17 +1074,16 @@ def _f_kernel(s: complex, z: np.ndarray, x: float) -> np.ndarray:
     """F(s, z) = integral from s+10 to s of K(w, z) dw.
 
     Straight horizontal segment, parameterised w = s + u with u from 10 down
-    to 0; the integrand decays like x^(-u), so panels concentrate near u = 0.
+    to 0; the integrand decays like x^(-u), so the 8 panels of the order-24
+    panel rule concentrate near u = 0. Splitting each in two must move every
+    F by at most 1e-10, or QuadratureFailureError.
     """
     z = np.atleast_1d(np.asarray(z, dtype=complex))
-    xs, ws = np.polynomial.legendre.leggauss(24)
-    edges = np.array([0.0, 0.2, 0.45, 0.8, 1.4, 2.4, 4.0, 6.5, 10.0])
-    out = np.zeros(z.shape, dtype=complex)
-    for a, b in zip(edges[:-1], edges[1:]):
-        mid, half = 0.5 * (a + b), 0.5 * (b - a)
-        vals = _kernel(s + mid + half * xs, z[:, None], x)
-        out += -half * np.sum(ws * vals, axis=1)  # minus: path runs s+10 -> s
-    return out
+    edges = [0.0, 0.2, 0.45, 0.8, 1.4, 2.4, 4.0, 6.5, 10.0]
+    # minus: the path runs s+10 -> s
+    return -_panel_rule(lambda u: _kernel(s + u, z[:, None], x),
+                        lambda count: np.interp(np.linspace(0, 8, count + 1), np.arange(9), edges),
+                        8, order=24, tol=1e-10, message="Selberg F integral did not converge")
 
 
 def selberg_log_zeta(s: complex, spec: SelbergSpec) -> complex:

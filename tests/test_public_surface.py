@@ -43,7 +43,8 @@ def test_removed_names_stay_removed():
     option of the batched log kernel are gone; the scan reads zeta only
     through the Taylor model of zeta_engine, so it binds neither the kernel,
     its truncation and majorant, nor the per-point log evaluator, and its
-    pipeline `_run_scan` takes one fit function rather than an objective and a model."""
+    pipeline `_run_scan` takes one fit function rather than an objective and a model;
+    the disk check samples one circle, so the Lipschitz margin of a second one is gone."""
     import inspect
     from dataclasses import fields
 
@@ -71,6 +72,11 @@ def test_removed_names_stay_removed():
     assert scan._taylor_model is zeta_engine._taylor_model
     assert not hasattr(scan.Hit(tau=1.0, residuals=(0.1,)), "refined")
     assert "line" not in inspect.signature(zeta_engine._log_zeta_line_derivs).parameters
+    assert "margin" not in {f.name for f in fields(universality.DiskCheck)}
+    assert "margin" not in {f.name for f in fields(universality.HitReport)}
+    hit = universality.HitReport(tau=1.0, m_zeta=1.0, delta=0.5, sup_diff=0.0, verdict=True,
+                                 budgets={}, match_residuals=())
+    assert "margin" not in hit.to_record()
 
 
 SOURCES = sorted(p for p in Path(zetascope.__file__).parent.glob("*.py") if p.name != "__init__.py")

@@ -115,7 +115,43 @@ def test_check_disk_point_case():
                                 eps=0.05)
     check = check_disk_approximation(tau, target, 0.0)
     assert check.sup_diff < 1e-10
-    assert check.margin == 0.0
+
+
+def test_check_disk_samples_one_circle(monkeypatch):
+    """The disk check evaluates zeta and g only on |s - s0| = delta r."""
+    from zetascope import universality
+
+    tau, s0, r, delta = 300.0, 0.75 + 0.01j, 0.125, 0.5
+    seen = []
+
+    def g(z):
+        z = np.asarray(z, dtype=complex)
+        seen.append(z.ravel())
+        return np.exp(z)
+
+    def spy_zeta(s, *args, **kwargs):
+        seen.append(np.asarray(s, dtype=complex).ravel() - 1j * tau)
+        return zeta_array(s, *args, **kwargs)
+
+    target = UniversalityTarget(g=g, s0=s0, r=r, delta0=0.5, eps=0.5)
+    seen.clear()
+    monkeypatch.setattr(universality, "zeta_array", spy_zeta)
+    check_disk_approximation(tau, target, delta)
+    pts = np.concatenate(seen)
+    assert len(pts) > 256
+    assert np.max(np.abs(np.abs(pts - s0) - delta * r)) < 1e-12
+
+
+def test_target_construction_point_count():
+    """Construction sends g the centre once and two 32-point rings."""
+    sizes = []
+
+    def g(z):
+        sizes.append(np.size(z))
+        return np.exp(np.asarray(z, dtype=complex))
+
+    UniversalityTarget(g=g, s0=0.75, r=0.125, delta0=0.5, eps=0.5)
+    assert sum(sizes) == 65
 
 
 def test_check_disk_huge_constant_fails():
@@ -139,7 +175,8 @@ def test_check_disk_rejects_pole_by_distance():
 
 
 def test_check_disk_rejects_full_disk():
-    """delta = 1 leaves no room between the disk and the margin circle."""
+    """delta = 1 is caller input outside [0, 1): the checked disk would be
+    the whole disk of the target, on whose edge g need not be analytic."""
     target = UniversalityTarget(g=zeta_shift(300.0), s0=0.75, r=0.125, delta0=0.5,
                                 eps=0.05)
     with pytest.raises(ValueError, match="delta"):
@@ -149,8 +186,8 @@ def test_check_disk_rejects_full_disk():
 @pytest.mark.parametrize("tau", [300.0, 1000.3])
 def test_check_disk_bounds_dense_interior(tau):
     """Maximum modulus oracle: the boundary supremum is not below a dense
-    interior polar grid, sup_diff + margin bounds that grid, and the grid
-    argmax agrees with mpmath at 30 digits."""
+    interior polar grid, and the grid argmax agrees with mpmath at 30
+    digits."""
     import mpmath
 
     s0, r, delta = 0.75, 0.125, 0.5
@@ -167,7 +204,6 @@ def test_check_disk_bounds_dense_interior(tau):
         i = int(np.argmax(np.abs(diffs)))
         dense = float(np.abs(diffs[i]))
         assert check.sup_diff >= dense * (1.0 - 1e-9), name
-        assert dense <= check.sup_diff + check.margin, name
         with mpmath.workdps(30):
             s = mpmath.mpc(pts[i].real, pts[i].imag)
             want = mpmath.zeta(s + mpmath.mpc(0, tau)) - g_mp(s)
